@@ -157,11 +157,13 @@ let run_step ~target ~workers ~(scenario : Scenario.spec) ~shape
     ?(sessions = default_sessions) ?(queue_cap = default_queue_cap)
     ?(batch = default_batch) ?(costs = Model.sim_costs)
     ?(duration = Standalone.default_duration)
-    ?(warmup = Standalone.default_warmup) ?(seed = 42L) () =
+    ?(warmup = Standalone.default_warmup) ?(seed = 42L)
+    ?(probe_engine = fun (_ : Psmr_sim.Engine.t) -> ()) () =
   if batch < 1 then invalid_arg "Load_bench.run_step: batch must be >= 1";
   if queue_cap < batch then
     invalid_arg "Load_bench.run_step: need batch <= queue_cap";
   let engine = Psmr_sim.Engine.create () in
+  probe_engine engine;
   let (module SP) = Psmr_sim.Sim_platform.make engine costs in
   let horizon = warmup +. duration in
   let measuring = ref false in

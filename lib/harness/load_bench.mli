@@ -68,13 +68,15 @@ val run_step :
   ?duration:float ->
   ?warmup:float ->
   ?seed:int64 ->
+  ?probe_engine:(Psmr_sim.Engine.t -> unit) ->
   unit ->
   step
 (** One offered-load point: a fresh deterministic simulation.  Latency
     is arrival (queue entry) to completion — commit for the optimistic
     backend, execution on the measured replica for the partitioned
     stack — and only commands arriving inside the measurement window
-    are sampled. *)
+    are sampled.  [probe_engine] is called with the fresh engine before
+    any process is spawned (the event-order tracer hook). *)
 
 val default_knee_mult : float
 val default_knee_max_drop : float

@@ -63,12 +63,14 @@ let run ~partitions ~workers ~(spec : Psmr_workload.Workload.Keyed.spec)
     ?replicas ?(batch = 16) ?(window = default_window)
     ?(abcast = part_abcast) ?(costs = Model.sim_costs)
     ?(duration = Standalone.default_duration)
-    ?(warmup = Standalone.default_warmup) ?(seed = 42L) ?(metrics = false) () =
+    ?(warmup = Standalone.default_warmup) ?(seed = 42L) ?(metrics = false)
+    ?(probe_engine = fun (_ : Psmr_sim.Engine.t) -> ()) () =
   if partitions < 1 then invalid_arg "Part_bench.run: partitions must be >= 1";
   if batch < 1 || window < batch then
     invalid_arg "Part_bench.run: need 1 <= batch <= window";
   let n = Option.value replicas ~default:(default_replicas ~partitions) in
   let engine = Psmr_sim.Engine.create () in
+  probe_engine engine;
   let (module SP) = Psmr_sim.Sim_platform.make engine costs in
   let registry =
     if metrics then

@@ -63,5 +63,8 @@ val run :
   ?warmup:float ->
   ?seed:int64 ->
   ?metrics:bool ->
+  ?probe_engine:(Psmr_sim.Engine.t -> unit) ->
+  (* called with the fresh engine before any process is spawned; the hook
+     tests use to install an event-order tracer *)
   unit ->
   result

@@ -428,10 +428,12 @@ let test_engine_scheduling_alloc_bound () =
 (* A seeded harness run's entire scheduling history, folded to one string:
    an MD5 over the (time, tag) pair of every executed event — hex floats,
    so the digest sees exact bits — plus the final clock and event count.
-   Pinned below for all six COS implementations and both early-scheduling
-   modes.  Any engine change that reorders, adds or drops an event, or
-   shifts virtual time by a single ULP, breaks these; that is the contract
-   an engine refactor must clear before touching anything else. *)
+   Pinned below for all six COS implementations, both early-scheduling
+   modes, the batched delivery path, the partitioned stack, open-loop
+   arrivals and a fault schedule.  Any engine change that reorders, adds
+   or drops an event, or shifts virtual time by a single ULP, breaks
+   these; that is the contract an engine or harness refactor must clear
+   before touching anything else. *)
 let trace_digest run =
   let buf = Buffer.create (1 lsl 16) in
   let captured = ref None in
@@ -454,20 +456,63 @@ let golden_standalone impl ~probe_engine =
        ~duration:0.02 ~warmup:0.005 ~seed:7L ~probe_engine ()
       : Psmr_harness.Standalone.result)
 
-let golden_keyed name ~probe_engine =
+let golden_keyed ?batch name ~probe_engine =
   let backend = Option.get (Psmr_early.Registry.of_string name) in
   (* mis_pct > 0 so the early-opt trace exercises the repair path. *)
   let spec =
     { Psmr_workload.Workload.Keyed.low_conflict with keys = 64; mis_pct = 10.0 }
   in
   ignore
-    (Psmr_harness.Keyed_bench.run ~backend ~workers:8 ~spec ~duration:0.02
-       ~warmup:0.005 ~seed:7L ~probe_engine ()
+    (Psmr_harness.Keyed_bench.run ~backend ~workers:8 ~spec ?batch
+       ~duration:0.02 ~warmup:0.005 ~seed:7L ~probe_engine ()
       : Psmr_harness.Keyed_bench.result)
+
+(* The partitioned stack (P sequencers over the simulated LAN, merge,
+   class-map executor), with cross-partition commands in the stream. *)
+let golden_part partitions ~probe_engine =
+  let spec =
+    { Psmr_workload.Workload.Keyed.low_conflict with keys = 64; cross_pct = 10.0 }
+  in
+  ignore
+    (Psmr_harness.Part_bench.run ~partitions ~workers:8 ~spec ~duration:0.02
+       ~warmup:0.005 ~seed:7L ~probe_engine ()
+      : Psmr_harness.Part_bench.result)
+
+(* One open-loop step: Poisson YCSB-A arrivals through the bounded offered
+   queue into [target]. *)
+let golden_open target rate ~probe_engine =
+  let target = Option.get (Psmr_harness.Load_bench.target_of_string target) in
+  ignore
+    (Psmr_harness.Load_bench.run_step ~target ~workers:8
+       ~scenario:(Psmr_traffic.Scenario.spec Psmr_traffic.Scenario.A)
+       ~shape:(Psmr_traffic.Arrival.Poisson { rate })
+       ~duration:0.02 ~warmup:0.005 ~seed:7L ~probe_engine ()
+      : Psmr_harness.Load_bench.step)
+
+(* A worker crash with respawn and a stall, mid-window. *)
+let golden_faults ~probe_engine =
+  let faults =
+    Psmr_fault.Schedule.parse_exn
+      "seed=11,worker-crash=1@0.01+0.004,worker-stall=2@0.012:0.002"
+  in
+  ignore
+    (Psmr_harness.Standalone.run ~impl:Psmr_cos.Registry.Lockfree ~workers:8
+       ~spec:golden_spec ~duration:0.02 ~warmup:0.005 ~seed:7L ~faults
+       ~probe_engine ()
+      : Psmr_harness.Standalone.result)
 
 let golden_cases =
   let cos name impl = (name, fun ~probe_engine -> golden_standalone impl ~probe_engine) in
-  let keyed name = (name, fun ~probe_engine -> golden_keyed name ~probe_engine) in
+  let keyed ?batch name =
+    let label =
+      match batch with Some b -> Printf.sprintf "%s-batch%d" name b | None -> name
+    in
+    (label, fun ~probe_engine -> golden_keyed ?batch name ~probe_engine)
+  in
+  let part p = (Printf.sprintf "part%d-cross" p, golden_part p) in
+  let open_loop target rate =
+    (Printf.sprintf "open-%s" target, golden_open target rate)
+  in
   [
     cos "standalone-coarse" Psmr_cos.Registry.Coarse;
     cos "standalone-fine" Psmr_cos.Registry.Fine;
@@ -477,6 +522,13 @@ let golden_cases =
     cos "standalone-indexed" Psmr_cos.Registry.Indexed;
     keyed "early";
     keyed "early-opt";
+    keyed ~batch:16 "indexed";
+    part 1;
+    part 4;
+    open_loop "coarse" 60_000.0;
+    open_loop "early-opt" 300_000.0;
+    open_loop "part2" 300_000.0;
+    ("standalone-faults", golden_faults);
   ]
 
 (* Captured from the pre-fast-path engine (PR 7 baseline) and required to
@@ -513,6 +565,29 @@ let golden_expected =
     ( "early-opt",
       "26c9e32e9a219c875810c24bb2cbd965 clock=0x1.999999999999ap-6 \
        events=296180" );
+    (* Pinned before the four harnesses were folded into one pipeline, so
+       that refactor had to reproduce them unchanged. *)
+    ( "indexed-batch16",
+      "7b7f42b1fa325abf72c37740b8e41885 clock=0x1.999999999999ap-6 \
+       events=2980830" );
+    ( "part1-cross",
+      "a14ed4ab3f0a3096423d5d7a99e14400 clock=0x1.999999999999ap-6 \
+       events=209689" );
+    ( "part4-cross",
+      "a7607163bd89cde5d27d736b6cb09bd5 clock=0x1.999999999999ap-6 \
+       events=534520" );
+    ( "open-coarse",
+      "a852b26e414f7c90a1a59eaa9c3c3b3b clock=0x1.999999999999ap-6 \
+       events=43916" );
+    ( "open-early-opt",
+      "1176a2ea26a0dc495875f17dfe042c4c clock=0x1.999999999999ap-6 \
+       events=224659" );
+    ( "open-part2",
+      "1388b540ac5d70aa28b7b2473b75d988 clock=0x1.999999999999ap-6 \
+       events=232937" );
+    ( "standalone-faults",
+      "c7546db0a9edbc61af316bbb925cf344 clock=0x1.999999999999ap-6 \
+       events=624023" );
   ]
 
 let golden_tests =
