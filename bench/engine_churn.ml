@@ -91,13 +91,18 @@ let sync_storm ~name ~events =
 let replica ~smoke =
   let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
   let r =
-    Psmr_harness.Standalone.run ~impl:Psmr_cos.Registry.Indexed ~workers:32
-      ~spec:{ Psmr_workload.Workload.write_pct = 15.0; cost = Light }
-      ~duration ~warmup ()
+    Psmr_harness.Pipeline.(
+      run
+        (config
+           ~driver:
+             (Max_rate
+                (Plain { Psmr_workload.Workload.write_pct = 15.0; cost = Light }))
+           ~backend:(Psmr_early.Registry.Cos Psmr_cos.Registry.Indexed)
+           ~workers:32 ~duration ~warmup ()))
   in
   {
     name = "replica_indexed_w32";
-    events = r.Psmr_harness.Standalone.engine_events;
+    events = r.engine_events;
     wall_seconds = r.wall_seconds;
   }
 

@@ -186,117 +186,47 @@ let run_micro ~smoke () =
     (fun (name, ns, _) -> Option.map (fun e -> (name, e)) ns)
     measured
 
-(* One simulated standalone point, memoized on its full configuration
-   (impl, workers, batch, workload, smoke): the Fig. 2 grid and the keyed
-   comparison below both draw from this table, so a configuration that
-   appears under several labels — or a worker count repeated across
-   sections — is simulated exactly once.  COS impls on the plain workload
-   go through [Standalone]; anything with a keyed spec (the early family,
-   or a COS impl raced against it) goes through [Keyed_bench], which also
-   reports the dispatcher's class statistics. *)
-type sim_row = {
-  s_kops : float;
-  s_direct : int;
-  s_rendezvous : int;
-  s_repairs : int;
-  s_revoked : int;
-  s_spec_execs : int;
-  s_rollbacks : int;
-  s_redos : int;
-}
+(* Every simulated row below is one {!Psmr_harness.Pipeline} configuration.
+   The rows of all sections are points of one memoised grid keyed by
+   [Pipeline.label], so a configuration shared between sections (or
+   repeated across worker counts) is simulated exactly once, and the
+   fault-free points are fanned out over domains before the sections are
+   assembled. *)
+module P = Psmr_harness.Pipeline
+module Keyed = Psmr_workload.Workload.Keyed
 
-let fig2_spec =
-  { Psmr_workload.Workload.write_pct = 0.0; cost = Psmr_workload.Workload.Light }
-
-type sim_config = {
-  c_impl : string;
-  c_workers : int;
-  c_batch : int;
-  c_keyed : Psmr_workload.Workload.Keyed.spec option;
-}
-
-let config_key ~smoke c =
-  Printf.sprintf "%s/w%d/b%d/%s/%b" c.c_impl c.c_workers c.c_batch
-    (match c.c_keyed with
-    | None -> "fig2"
-    | Some spec -> Format.asprintf "%a" Psmr_workload.Workload.Keyed.pp spec)
-    smoke
-
-(* One point, computed from its configuration alone: its own engine, RNG
-   and sinks, no facade state — safe to run on a parallel domain. *)
-let compute_point ~smoke c =
+let point ~smoke ?ordering ?batch ~workers backend driver =
   let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
-  match c.c_keyed with
-  | Some spec ->
-      let backend =
-        match Psmr_early.Registry.of_string c.c_impl with
-        | Some b -> b
-        | None -> invalid_arg ("sim_point: unknown backend " ^ c.c_impl)
-      in
-      let r =
-        Psmr_harness.Keyed_bench.run ~backend ~workers:c.c_workers ~spec
-          ~batch:c.c_batch ~duration ~warmup ()
-      in
-      {
-        s_kops = r.Psmr_harness.Keyed_bench.kops;
-        s_direct = r.direct;
-        s_rendezvous = r.rendezvous;
-        s_repairs = r.repairs;
-        s_revoked = r.revoked;
-        s_spec_execs = r.spec_execs;
-        s_rollbacks = r.rollbacks;
-        s_redos = r.redos;
-      }
-  | None ->
-      let ci =
-        match Psmr_cos.Registry.of_string c.c_impl with
-        | Some i -> i
-        | None -> invalid_arg ("sim_point: unknown COS impl " ^ c.c_impl)
-      in
-      let r =
-        Psmr_harness.Standalone.run ~impl:ci ~workers:c.c_workers
-          ~batch:c.c_batch ~spec:fig2_spec ~duration ~warmup ()
-      in
-      {
-        s_kops = r.Psmr_harness.Standalone.kops;
-        s_direct = 0;
-        s_rendezvous = 0;
-        s_repairs = 0;
-        s_revoked = 0;
-        s_spec_execs = 0;
-        s_rollbacks = 0;
-        s_redos = 0;
-      }
+  let backend =
+    match Psmr_early.Registry.of_string backend with
+    | Some b -> b
+    | None -> invalid_arg ("bench: unknown backend " ^ backend)
+  in
+  P.config ~driver ?ordering ~backend ~workers ?batch ~duration ~warmup ()
 
-let sim_memo : (string, sim_row) Hashtbl.t = Hashtbl.create 32
+let memo : (string, P.result) Hashtbl.t = Hashtbl.create 64
 
-(* Compute a batch of configurations on [jobs] domains and fill the memo
-   (main domain only — the table is never touched from helpers).  Because
-   every point is independent and deterministic, the memo ends up with
-   exactly the values a sequential run would compute, so the JSON emitted
-   from it is byte-identical for any [jobs]. *)
-let prefill_points ~smoke ~jobs configs =
+(* Compute the missing points on [jobs] domains and fill the memo (main
+   domain only — the table is never touched from helpers).  Every point is
+   independent and deterministic, so the memo ends up with exactly the
+   values a sequential run would compute, and the JSON emitted from it is
+   identical for any [jobs]. *)
+let prefill ~jobs configs =
   let todo =
-    List.filter
-      (fun c -> not (Hashtbl.mem sim_memo (config_key ~smoke c)))
-      configs
-    |> List.sort_uniq compare
+    List.filter (fun c -> not (Hashtbl.mem memo (P.label c))) configs
+    |> List.sort_uniq (fun a b -> compare (P.label a) (P.label b))
   in
   let results =
-    Psmr_sim.Grid_runner.map ~jobs (compute_point ~smoke) (Array.of_list todo)
+    Psmr_sim.Grid_runner.map ~jobs (fun c -> P.run c) (Array.of_list todo)
   in
-  List.iteri
-    (fun i c -> Hashtbl.replace sim_memo (config_key ~smoke c) results.(i))
-    todo
+  List.iteri (fun i c -> Hashtbl.replace memo (P.label c) results.(i)) todo
 
-let sim_point ~smoke ~impl ~workers ?(batch = 1) ?keyed () =
-  let c = { c_impl = impl; c_workers = workers; c_batch = batch; c_keyed = keyed } in
-  let key = config_key ~smoke c in
-  match Hashtbl.find_opt sim_memo key with
+let result c =
+  match Hashtbl.find_opt memo (P.label c) with
   | Some r -> r
   | None ->
-      let r = compute_point ~smoke c in
-      Hashtbl.add sim_memo key r;
+      let r = P.run c in
+      Hashtbl.add memo (P.label c) r;
       r
 
 (* Simulated Fig. 2 points for the JSON summary: standalone throughput at
@@ -304,476 +234,348 @@ let sim_point ~smoke ~impl ~workers ?(batch = 1) ?keyed () =
    with and without delivery batching, and the early dispatcher (keyed
    low-conflict workload at 0% writes — footprints are needed for the
    class map, the cost profile matches). *)
-let fig2_grid =
-  let keyed0 =
-    { Psmr_workload.Workload.Keyed.low_conflict with write_pct = 0.0 }
+let fig2 ~smoke =
+  let plain =
+    P.Max_rate
+      (Plain { write_pct = 0.0; cost = Psmr_workload.Workload.Light })
   in
-  [
-    ("lockfree", "lockfree", 1, None);
-    ("indexed", "indexed", 1, None);
-    ("indexed_batch16", "indexed", 16, None);
-    ("early", "early", 1, Some keyed0);
-    ("early_opt", "early-opt", 1, Some keyed0);
-  ]
-
-let fig2_workers = [ 16; 32; 64 ]
-
-let fig2_configs =
+  let keyed0 = P.Max_rate (Keyed { Keyed.low_conflict with write_pct = 0.0 }) in
   List.concat_map
     (fun w ->
       List.map
-        (fun (_, impl, batch, keyed) ->
-          { c_impl = impl; c_workers = w; c_batch = batch; c_keyed = keyed })
-        fig2_grid)
-    fig2_workers
-
-let sim_fig2 ~smoke () =
-  List.concat_map
-    (fun w ->
-      List.map
-        (fun (label, impl, batch, keyed) ->
-          (w, label, (sim_point ~smoke ~impl ~workers:w ~batch ?keyed ()).s_kops))
-        fig2_grid)
-    fig2_workers
+        (fun (label, backend, batch, driver) ->
+          ((w, label), point ~smoke ~batch ~workers:w backend driver))
+        [
+          ("lockfree", "lockfree", 1, plain);
+          ("indexed", "indexed", 1, plain);
+          ("indexed_batch16", "indexed", 16, plain);
+          ("early", "early", 1, keyed0);
+          ("early_opt", "early-opt", 1, keyed0);
+        ])
+    [ 16; 32; 64 ]
 
 (* The acceptance comparison (docs/SCHEDULING.md): the keyed low-conflict
    workload at 32 workers — early scheduling, conservative and optimistic
    under a mis-speculation sweep, against the COS family fed the identical
    command stream.  Rows carry the dispatcher's class statistics so the
    fast-path share is visible next to the throughput. *)
-let keyed_configs =
-  let base = Psmr_workload.Workload.Keyed.low_conflict in
-  let pt ?(mis = 0.0) ?(batch = 1) impl =
-    {
-      c_impl = impl;
-      c_workers = 32;
-      c_batch = batch;
-      c_keyed = Some { base with mis_pct = mis };
-    }
+let keyed ~smoke =
+  let pt name ?(mis = 0.0) ?(batch = 1) backend =
+    ( (name, mis),
+      point ~smoke ~batch ~workers:32 backend
+        (P.Max_rate (Keyed { Keyed.low_conflict with mis_pct = mis })) )
   in
   [
-    pt "early"; pt "early-opt"; pt ~mis:0.1 "early-opt";
-    pt ~mis:1.0 "early-opt"; pt ~mis:5.0 "early-opt";
-    pt ~mis:10.0 "early-opt"; pt "indexed"; pt ~batch:16 "indexed";
-    pt "lockfree";
-  ]
-
-let sim_keyed ~smoke () =
-  let base = Psmr_workload.Workload.Keyed.low_conflict in
-  let pt ?(mis = 0.0) ?(batch = 1) impl =
-    sim_point ~smoke ~impl ~workers:32 ~batch
-      ~keyed:{ base with mis_pct = mis }
-      ()
-  in
-  [
-    ("early", 0.0, pt "early");
-    ("early_opt_mis0", 0.0, pt "early-opt");
-    ("early_opt_mis0_1", 0.1, pt ~mis:0.1 "early-opt");
-    ("early_opt_mis1", 1.0, pt ~mis:1.0 "early-opt");
-    ("early_opt_mis5", 5.0, pt ~mis:5.0 "early-opt");
-    ("early_opt_mis10", 10.0, pt ~mis:10.0 "early-opt");
-    ("indexed", 0.0, pt "indexed");
-    ("indexed_batch16", 0.0, pt ~batch:16 "indexed");
-    ("lockfree", 0.0, pt "lockfree");
+    pt "early" "early";
+    pt "early_opt_mis0" "early-opt";
+    pt "early_opt_mis0_1" ~mis:0.1 "early-opt";
+    pt "early_opt_mis1" ~mis:1.0 "early-opt";
+    pt "early_opt_mis5" ~mis:5.0 "early-opt";
+    pt "early_opt_mis10" ~mis:10.0 "early-opt";
+    pt "indexed" "indexed";
+    pt "indexed_batch16" ~batch:16 "indexed";
+    pt "lockfree" "lockfree";
   ]
 
 (* Partitioned-ordering grid (docs/PARTITIONING.md): the Partition stack
-   over the simulated LAN, partitions × workers, via [Part_bench].  Light
-   rows are ordering-bound — execution is cheap enough that the sequencer's
+   over the simulated LAN, partitions × workers.  Light rows are
+   ordering-bound — execution is cheap enough that the sequencer's
    per-command ingestion is the bottleneck, so throughput scales with
    partitions (the acceptance ratio below).  Moderate rows show the
    interplay with execution: at w8 the executor caps both sides and
    partitioning buys nothing; at w32 it partially unbinds.  The 100%-cross
    rows are the graceful-degradation bound: every command rendezvouses in
    the merge and serializes classwise in the dispatcher, so throughput
-   drops but nothing wedges (no holes pile up, no view changes).  Points
-   are memoized on [Part_bench.config_label] — %g-rendered rates, the
-   PR-8 %.0f collision lesson — plus the smoke flag. *)
-let part_configs =
+   drops but nothing wedges (no holes pile up, no view changes). *)
+let part ~smoke =
   let spec cost cross =
-    { Psmr_workload.Workload.Keyed.low_conflict with cost; cross_pct = cross }
+    { Keyed.low_conflict with cost; cross_pct = cross }
   in
   let light = spec Psmr_workload.Workload.Light
   and moderate = spec Psmr_workload.Workload.Moderate in
-  [
-    (1, 32, light 2.0); (2, 32, light 2.0); (4, 32, light 2.0);
-    (4, 32, light 5.0); (1, 32, light 100.0); (4, 32, light 100.0);
-    (1, 8, moderate 2.0); (4, 8, moderate 2.0); (1, 32, moderate 2.0);
-    (4, 32, moderate 2.0);
-  ]
-
-let part_key ~smoke (p, w, spec) =
-  Printf.sprintf "%s/%b"
-    (Psmr_harness.Part_bench.config_label ~partitions:p
-       ~replicas:(Psmr_harness.Part_bench.default_replicas ~partitions:p)
-       ~workers:w ~batch:16 spec)
-    smoke
-
-let compute_part ~smoke (p, w, spec) =
-  let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
-  Psmr_harness.Part_bench.run ~partitions:p ~workers:w ~spec ~duration ~warmup
-    ()
-
-let part_memo : (string, Psmr_harness.Part_bench.result) Hashtbl.t =
-  Hashtbl.create 16
-
-let prefill_part ~smoke ~jobs =
-  let todo =
-    List.filter
-      (fun c -> not (Hashtbl.mem part_memo (part_key ~smoke c)))
-      part_configs
-    |> List.sort_uniq compare
-  in
-  let results =
-    Psmr_sim.Grid_runner.map ~jobs (compute_part ~smoke) (Array.of_list todo)
-  in
-  List.iteri
-    (fun i c -> Hashtbl.replace part_memo (part_key ~smoke c) results.(i))
-    todo
-
-let sim_part ~smoke () =
   List.map
-    (fun ((p, w, spec) as c) ->
-      let r =
-        match Hashtbl.find_opt part_memo (part_key ~smoke c) with
-        | Some r -> r
-        | None ->
-            let r = compute_part ~smoke c in
-            Hashtbl.add part_memo (part_key ~smoke c) r;
-            r
-      in
-      (p, Psmr_harness.Part_bench.default_replicas ~partitions:p, w, spec, r))
-    part_configs
-
-(* Open-loop latency-under-load grid (docs/WORKLOADS.md): the Zipfian
-   YCSB-A scenario driven through [Load_bench]'s bounded offered queue
-   into each scheduler family at 32 workers, sweeping offered load to
-   locate the saturation knee.  The rate grid is dense around each
-   family's measured capacity (coarse saturates near 85 kops; the
-   keyed/early/partitioned families near 1.0-1.2 Mops/s) so the knee
-   lands on an interior step rather than the sweep edge.  Rows are
-   memoized on target label + smoke flag and fanned out over domains
-   like the other grids. *)
-let open_loop_targets =
-  [ "coarse"; "indexed"; "early"; "early_opt"; "part4" ]
-
-let open_loop_workers = 32
-
-let open_loop_rates ~smoke =
-  if smoke then [ 50_000.0; 200_000.0; 2_000_000.0 ]
-  else
+    (fun (p, w, spec) ->
+      ( (p, w, spec),
+        point ~smoke ~ordering:(P.partition p) ~workers:w "early"
+          (P.Max_rate (Keyed spec)) ))
     [
-      25_000.0; 50_000.0; 100_000.0; 200_000.0; 400_000.0; 800_000.0;
-      1_000_000.0; 1_100_000.0; 1_200_000.0; 1_600_000.0;
+      (1, 32, light 2.0); (2, 32, light 2.0); (4, 32, light 2.0);
+      (4, 32, light 5.0); (1, 32, light 100.0); (4, 32, light 100.0);
+      (1, 8, moderate 2.0); (4, 8, moderate 2.0); (1, 32, moderate 2.0);
+      (4, 32, moderate 2.0);
     ]
 
-let compute_open_loop ~smoke name =
+(* Open-loop latency-under-load grid (docs/WORKLOADS.md): the Zipfian
+   YCSB-A scenario driven through the bounded offered queue into each
+   scheduler family at 32 workers, sweeping offered load to locate the
+   saturation knee.  The rate grid is dense around each family's measured
+   capacity (coarse saturates near 85 kops; the keyed/early/partitioned
+   families near 1.0-1.2 Mops/s) so the knee lands on an interior step
+   rather than the sweep edge. *)
+let open_loop_workers = 32
+
+let open_loop ~smoke =
   let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
-  (* JSON row names use underscores; the target parser wants the
-     registry spelling. *)
-  let spelled =
-    String.map (function '_' -> '-' | c -> c) name
+  let rates =
+    if smoke then [ 50_000.0; 200_000.0; 2_000_000.0 ]
+    else
+      [
+        25_000.0; 50_000.0; 100_000.0; 200_000.0; 400_000.0; 800_000.0;
+        1_000_000.0; 1_100_000.0; 1_200_000.0; 1_600_000.0;
+      ]
   in
-  let target =
-    match Psmr_harness.Load_bench.target_of_string spelled with
-    | Some t -> t
-    | None -> invalid_arg ("open_loop: unknown target " ^ name)
-  in
-  Psmr_harness.Load_bench.sweep ~target ~workers:open_loop_workers
-    ~scenario:(Psmr_traffic.Scenario.spec Psmr_traffic.Scenario.A)
-    ~rates:(open_loop_rates ~smoke) ~duration ~warmup ()
-
-let open_memo : (string, Psmr_harness.Load_bench.sweep) Hashtbl.t =
-  Hashtbl.create 8
-
-let open_key ~smoke name = Printf.sprintf "%s/%b" name smoke
-
-let prefill_open ~smoke ~jobs =
-  let todo =
-    List.filter
-      (fun n -> not (Hashtbl.mem open_memo (open_key ~smoke n)))
-      open_loop_targets
-  in
-  let results =
-    Psmr_sim.Grid_runner.map ~jobs (compute_open_loop ~smoke)
-      (Array.of_list todo)
-  in
-  List.iteri
-    (fun i n -> Hashtbl.replace open_memo (open_key ~smoke n) results.(i))
-    todo
-
-let sim_open_loop ~smoke () =
+  let scenario = Psmr_traffic.Scenario.spec Psmr_traffic.Scenario.A in
   List.map
     (fun name ->
-      let sw =
-        match Hashtbl.find_opt open_memo (open_key ~smoke name) with
-        | Some sw -> sw
-        | None ->
-            let sw = compute_open_loop ~smoke name in
-            Hashtbl.add open_memo (open_key ~smoke name) sw;
-            sw
+      (* JSON row names use underscores; the target parser wants the
+         registry spelling. *)
+      let ordering, backend =
+        match P.target_of_string (String.map (function '_' -> '-' | c -> c) name) with
+        | Some t -> t
+        | None -> invalid_arg ("open_loop: unknown target " ^ name)
       in
-      (name, sw))
-    open_loop_targets
+      let base =
+        P.config
+          ~driver:(P.open_loop scenario (Psmr_traffic.Arrival.Poisson { rate = 0.0 }))
+          ~ordering ~backend ~workers:open_loop_workers ~duration ~warmup ()
+      in
+      (name, P.sweep_steps ~rates base))
+    [ "coarse"; "indexed"; "early"; "early_opt"; "part4" ]
 
-let print_open_loop rows =
+let grid ~smoke =
+  List.map snd (fig2 ~smoke) @ List.map snd (keyed ~smoke)
+  @ List.map snd (part ~smoke)
+  @ List.concat_map snd (open_loop ~smoke)
+
+let print_open_loop ~smoke =
   List.iter
-    (fun (name, (sw : Psmr_harness.Load_bench.sweep)) ->
-      Printf.printf "# open-loop %s workers=%d %s\n" name sw.workers
-        (Format.asprintf "%a" Psmr_traffic.Scenario.pp_spec sw.scenario);
+    (fun (name, steps) ->
+      let steps = List.map result steps in
+      let scenario = Psmr_traffic.Scenario.spec Psmr_traffic.Scenario.A in
+      Printf.printf "# open-loop %s workers=%d %s\n" name open_loop_workers
+        (Format.asprintf "%a" Psmr_traffic.Scenario.pp_spec scenario);
       List.iter
-        (fun (s : Psmr_harness.Load_bench.step) ->
+        (fun (s : P.result) ->
           Printf.printf
             "  offered %8.1f kops -> %8.1f kops  drop %5.2f%%  p50 %.6f  \
              p99 %.6f  p999 %.6f\n"
             s.offered_kops s.kops
             (100.0 *. s.drop_rate)
             s.p50 s.p99 s.p999)
-        sw.steps;
-      (match sw.knee_kops with
+        steps;
+      (match P.knee steps with
       | Some k -> Printf.printf "  knee: %.1f kops offered\n" k
       | None -> print_string "  knee: not reached\n");
       print_newline ())
-    rows
+    (open_loop ~smoke)
 
 (* Throughput-under-faults rows: coarse vs lock-free at 32 workers, with
    one mid-window worker crash that recovers, against the fault-free
    baseline.  Quantifies graceful degradation (docs/FAULTS.md): the
    orphaned command is requeued, a replacement worker joins after the
-   respawn delay, and throughput dips rather than collapsing. *)
-let sim_faults ~smoke () =
+   respawn delay, and throughput dips rather than collapsing.  Faulty
+   points install the global fault plan, so they run on the main domain,
+   never in the prefilled grid. *)
+let moderate10 =
+  P.Max_rate (Plain { write_pct = 10.0; cost = Psmr_workload.Workload.Moderate })
+
+let faults ~smoke =
   let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
-  let spec =
-    {
-      Psmr_workload.Workload.write_pct = 10.0;
-      cost = Psmr_workload.Workload.Moderate;
-    }
-  in
   let crash_spec =
     Printf.sprintf "seed=11,worker-crash=1@%g+%g" (warmup +. (duration /. 4.0))
       (duration /. 4.0)
   in
   let faults = Psmr_fault.Schedule.parse_exn crash_spec in
   List.map
-    (fun (label, impl) ->
-      let base =
-        Psmr_harness.Standalone.run ~impl ~workers:32 ~spec ~duration ~warmup ()
-      in
-      let faulty =
-        Psmr_harness.Standalone.run ~impl ~workers:32 ~spec ~duration ~warmup
-          ~faults ()
-      in
-      ( label,
+    (fun name ->
+      let base = point ~smoke ~workers:32 name moderate10 in
+      let faulty = result { base with faults } in
+      ( name ^ "_w32",
         crash_spec,
-        base.Psmr_harness.Standalone.kops,
-        faulty.Psmr_harness.Standalone.kops,
-        faulty.Psmr_harness.Standalone.faults_injected ))
-    [
-      ("coarse_w32", Psmr_cos.Registry.Coarse);
-      ("lockfree_w32", Psmr_cos.Registry.Lockfree);
-    ]
+        (result base).kops,
+        faulty.kops,
+        faulty.faults_injected ))
+    [ "coarse"; "lockfree" ]
 
 (* Observability block for the JSON summary: the coarse vs lock-free
    counter/latency breakdown at 32 workers that explains the Figure-2
-   plateau (see docs/OBSERVABILITY.md).  Each entry is a complete JSON
-   object as emitted by [Psmr_obs.Metrics.to_json], embedded verbatim. *)
-let sim_metrics ~smoke () =
-  let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
-  let spec =
-    {
-      Psmr_workload.Workload.write_pct = 10.0;
-      cost = Psmr_workload.Workload.Moderate;
-    }
-  in
+   plateau (see docs/OBSERVABILITY.md), as emitted by
+   [Psmr_obs.Metrics.to_json]. *)
+let metrics ~smoke =
   List.map
-    (fun (label, impl) ->
-      let r =
-        Psmr_harness.Standalone.run ~impl ~workers:32 ~spec ~duration ~warmup
-          ~metrics:true ()
-      in
-      let m =
-        match r.Psmr_harness.Standalone.metrics with
-        | Some m -> m
-        | None -> assert false
-      in
-      ( label,
+    (fun name ->
+      let r = P.run ~metrics:true (point ~smoke ~workers:32 name moderate10) in
+      let doc =
         Psmr_obs.Metrics.to_json
           ~cost_model:(Psmr_sim.Costs.to_assoc Psmr_harness.Model.sim_costs)
-          m ))
-    [
-      ("coarse_w32", Psmr_cos.Registry.Coarse);
-      ("lockfree_w32", Psmr_cos.Registry.Lockfree);
-    ]
-
-(* Hand-rolled JSON (no JSON library in the build environment). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_json ~path ~micro ~fig2 ~keyed ~part ~open_loop ~faults ~metrics
-    ~engine =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"metrics\": {\n";
-  List.iteri
-    (fun i (name, block) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %s%s\n" (json_escape name)
-           (String.trim block)
-           (if i = List.length metrics - 1 then "" else ",")))
-    metrics;
-  Buffer.add_string buf "  },\n  \"micro_ns_per_op\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    { \"name\": \"%s\", \"ns\": %.2f }%s\n"
-           (json_escape name) ns
-           (if i = List.length micro - 1 then "" else ",")))
-    micro;
-  Buffer.add_string buf "  ],\n  \"faults_sim_kops\": [\n";
-  List.iteri
-    (fun i (name, spec, base, faulty, injected) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": \"%s\", \"faults\": \"%s\", \"kops_fault_free\": \
-            %.1f, \"kops_faulty\": %.1f, \"injected\": %d }%s\n"
-           (json_escape name) (json_escape spec) base faulty injected
-           (if i = List.length faults - 1 then "" else ",")))
-    faults;
-  Buffer.add_string buf "  ],\n  \"fig2_sim_kops\": [\n";
-  List.iteri
-    (fun i (w, impl, kops) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"workers\": %d, \"impl\": \"%s\", \"kops\": %.1f }%s\n" w
-           (json_escape impl) kops
-           (if i = List.length fig2 - 1 then "" else ",")))
-    fig2;
-  Buffer.add_string buf "  ],\n  \"keyed_sim_kops\": [\n";
-  List.iteri
-    (fun i (name, mis, r) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": \"%s\", \"workers\": 32, \"mis_pct\": %.1f, \
-            \"kops\": %.1f, \"direct\": %d, \"rendezvous\": %d, \"repairs\": \
-            %d, \"revoked\": %d, \"spec_execs\": %d, \"rollbacks\": %d, \
-            \"redos\": %d }%s\n"
-           (json_escape name) mis r.s_kops r.s_direct r.s_rendezvous
-           r.s_repairs r.s_revoked r.s_spec_execs r.s_rollbacks r.s_redos
-           (if i = List.length keyed - 1 then "" else ",")))
-    keyed;
-  Buffer.add_string buf "  ],\n  \"part_sim_kops\": [\n";
-  List.iteri
-    (fun i
-         ( partitions,
-           replicas,
-           workers,
-           (spec : Psmr_workload.Workload.Keyed.spec),
-           (r : Psmr_harness.Part_bench.result) ) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"partitions\": %d, \"replicas\": %d, \"workers\": %d, \
-            \"cost\": \"%s\", \"cross_pct\": %g, \"kops\": %.1f, \"singles\": \
-            %d, \"crosses\": %d, \"holes\": %d, \"merge_pending\": %d, \
-            \"views\": %d }%s\n"
-           partitions replicas workers
-           (json_escape (Psmr_workload.Workload.cost_label spec.cost))
-           spec.cross_pct r.kops r.singles r.crosses r.holes r.merge_pending
-           r.views
-           (if i = List.length part - 1 then "" else ",")))
-    part;
-  Buffer.add_string buf "  ],\n  \"open_loop\": [\n";
-  List.iteri
-    (fun i (name, (sw : Psmr_harness.Load_bench.sweep)) ->
-      let steps =
-        String.concat ","
-          (List.map
-             (fun (s : Psmr_harness.Load_bench.step) ->
-               Printf.sprintf
-                 "\n      { \"offered_kops\": %.9g, \"kops\": %.1f, \
-                  \"drop_rate\": %.9g, \"p50\": %.9g, \"p99\": %.9g, \
-                  \"p999\": %.9g }"
-                 s.offered_kops s.kops s.drop_rate s.p50 s.p99 s.p999)
-             sw.steps)
+          (Option.get r.metrics)
       in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"impl\": \"%s\", \"workers\": %d, \"scenario\": \"%s\", \
-            \"records\": %d, \"theta\": %g, \"knee_kops\": %s, \"steps\": \
-            [%s\n    ] }%s\n"
-           (json_escape name) sw.workers
-           (Psmr_traffic.Scenario.label sw.scenario.scenario)
-           sw.scenario.records sw.scenario.theta
-           (match sw.knee_kops with
-           | Some k -> Printf.sprintf "%.9g" k
-           | None -> "null")
-           steps
-           (if i = List.length open_loop - 1 then "" else ",")))
-    open_loop;
-  Buffer.add_string buf "  ],\n  \"sim_events_per_wall_second\": [\n";
-  List.iteri
-    (fun i (r : Engine_churn.row) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": \"%s\", \"events\": %d, \"wall_seconds\": %.6f, \
-            \"events_per_second\": %.0f }%s\n"
-           (json_escape r.name) r.events r.wall_seconds
-           (Engine_churn.events_per_second r)
-           (if i = List.length engine - 1 then "" else ",")))
-    engine;
-  Buffer.add_string buf "  ]";
-  let fig2_find impl =
-    List.find_map
-      (fun (w, i, k) -> if w = 32 && String.equal i impl then Some k else None)
-      fig2
+      match Psmr_util.Json.parse doc with
+      | Ok j -> (name ^ "_w32", j)
+      | Error e -> failwith ("metrics block: " ^ e))
+    [ "coarse"; "lockfree" ]
+
+(* --- the JSON summary --- *)
+
+module J = Psmr_util.Json
+
+(* A number as the report has always rounded it: [num "%.1f" kops] reads
+   back exactly as the [%.1f] text would. *)
+let num fmt x = J.Num (float_of_string (Printf.sprintf fmt x))
+let int n = J.Num (float_of_int n)
+let obj fields = J.Obj fields
+
+let write_json ~smoke ~path ~micro ~engine =
+  let fig2 = List.map (fun (key, c) -> (key, (result c).kops)) (fig2 ~smoke) in
+  let keyed = List.map (fun (key, c) -> (key, result c)) (keyed ~smoke) in
+  let part = List.map (fun (key, c) -> (key, result c)) (part ~smoke) in
+  let sections =
+    [
+      ("metrics", obj (metrics ~smoke));
+      ( "micro_ns_per_op",
+        J.Arr
+          (List.map
+             (fun (name, ns) -> obj [ ("name", J.Str name); ("ns", num "%.2f" ns) ])
+             micro) );
+      ( "faults_sim_kops",
+        J.Arr
+          (List.map
+             (fun (name, spec, base, faulty, injected) ->
+               obj
+                 [
+                   ("name", J.Str name);
+                   ("faults", J.Str spec);
+                   ("kops_fault_free", num "%.1f" base);
+                   ("kops_faulty", num "%.1f" faulty);
+                   ("injected", int injected);
+                 ])
+             (faults ~smoke)) );
+      ( "fig2_sim_kops",
+        J.Arr
+          (List.map
+             (fun ((w, impl), kops) ->
+               obj
+                 [ ("workers", int w); ("impl", J.Str impl); ("kops", num "%.1f" kops) ])
+             fig2) );
+      ( "keyed_sim_kops",
+        J.Arr
+          (List.map
+             (fun ((name, mis), (r : P.result)) ->
+               let d = r.dispatch in
+               obj
+                 [
+                   ("name", J.Str name);
+                   ("workers", int 32);
+                   ("mis_pct", num "%.1f" mis);
+                   ("kops", num "%.1f" r.kops);
+                   ("direct", int d.direct);
+                   ("rendezvous", int d.rendezvous);
+                   ("repairs", int d.repairs);
+                   ("revoked", int d.revoked);
+                   ("spec_execs", int d.spec_execs);
+                   ("rollbacks", int d.rollbacks);
+                   ("redos", int d.redos);
+                 ])
+             keyed) );
+      ( "part_sim_kops",
+        J.Arr
+          (List.map
+             (fun ((p, w, (spec : Keyed.spec)), (r : P.result)) ->
+               let m = r.merge in
+               obj
+                 [
+                   ("partitions", int p);
+                   ("replicas", int (P.default_replicas ~partitions:p));
+                   ("workers", int w);
+                   ("cost", J.Str (Psmr_workload.Workload.cost_label spec.cost));
+                   ("cross_pct", num "%g" spec.cross_pct);
+                   ("kops", num "%.1f" r.kops);
+                   ("singles", int m.singles);
+                   ("crosses", int m.crosses);
+                   ("holes", int m.holes);
+                   ("merge_pending", int m.pending);
+                   ("views", int m.views);
+                 ])
+             part) );
+      ( "open_loop",
+        J.Arr
+          (List.map
+             (fun (name, configs) ->
+               let steps = List.map result configs in
+               let scenario = Psmr_traffic.Scenario.spec Psmr_traffic.Scenario.A in
+               obj
+                 [
+                   ("impl", J.Str name);
+                   ("workers", int open_loop_workers);
+                   ("scenario", J.Str (Psmr_traffic.Scenario.label scenario.scenario));
+                   ("records", int scenario.records);
+                   ("theta", num "%g" scenario.theta);
+                   ( "knee_kops",
+                     match P.knee steps with
+                     | Some k -> num "%.9g" k
+                     | None -> J.Null );
+                   ( "steps",
+                     J.Arr
+                       (List.map
+                          (fun (s : P.result) ->
+                            obj
+                              [
+                                ("offered_kops", num "%.9g" s.offered_kops);
+                                ("kops", num "%.1f" s.kops);
+                                ("drop_rate", num "%.9g" s.drop_rate);
+                                ("p50", num "%.9g" s.p50);
+                                ("p99", num "%.9g" s.p99);
+                                ("p999", num "%.9g" s.p999);
+                              ])
+                          steps) );
+                 ])
+             (open_loop ~smoke)) );
+      ( "sim_events_per_wall_second",
+        J.Arr
+          (List.map
+             (fun (r : Engine_churn.row) ->
+               obj
+                 [
+                   ("name", J.Str r.name);
+                   ("events", int r.events);
+                   ("wall_seconds", num "%.6f" r.wall_seconds);
+                   ("events_per_second", num "%.0f" (Engine_churn.events_per_second r));
+                 ])
+             engine) );
+    ]
   in
-  let keyed_find name =
+  (* Headline ratios, each present when its baseline is positive. *)
+  let ratio name base x =
+    match (base, x) with
+    | Some b, Some x when b > 0.0 -> [ (name, num "%.2f" (x /. b)) ]
+    | _ -> []
+  in
+  let fig2_at32 impl = List.assoc_opt (32, impl) fig2 in
+  let keyed_kops name =
     List.find_map
-      (fun (n, _, r) -> if String.equal n name then Some r.s_kops else None)
+      (fun ((n, _), (r : P.result)) -> if n = name then Some r.kops else None)
       keyed
   in
-  (match (fig2_find "lockfree", fig2_find "indexed_batch16") with
-  | Some base, Some ix when base > 0.0 ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",\n  \"speedup_w32_indexed_batch16_vs_lockfree\": %.2f" (ix /. base))
-  | _ -> ());
-  (match (keyed_find "indexed", keyed_find "early") with
-  | Some base, Some early when base > 0.0 ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\n  \"speedup_w32_early_vs_indexed\": %.2f"
-           (early /. base))
-  | _ -> ());
   (* The partitioning headline: 4 sequencers vs 1 at w32 on the
      ordering-bound (Light, 2%-cross) workload. *)
-  let part_find ~partitions ~workers =
+  let part_kops p =
     List.find_map
-      (fun (p, _, w, (spec : Psmr_workload.Workload.Keyed.spec), r) ->
-        if
-          p = partitions && w = workers
-          && spec.cost = Psmr_workload.Workload.Light
-          && spec.cross_pct = 2.0
-        then Some r.Psmr_harness.Part_bench.kops
+      (fun ((p', w, (spec : Keyed.spec)), (r : P.result)) ->
+        if p' = p && w = 32 && spec.cost = Light && spec.cross_pct = 2.0 then
+          Some r.kops
         else None)
       part
   in
-  (match (part_find ~partitions:1 ~workers:32, part_find ~partitions:4 ~workers:32) with
-  | Some base, Some p4 when base > 0.0 ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\n  \"speedup_w32_part4_vs_part1\": %.2f" (p4 /. base))
-  | _ -> ());
-  Buffer.add_string buf "\n}\n";
+  let headlines =
+    ratio "speedup_w32_indexed_batch16_vs_lockfree" (fig2_at32 "lockfree")
+      (fig2_at32 "indexed_batch16")
+    @ ratio "speedup_w32_early_vs_indexed" (keyed_kops "indexed")
+        (keyed_kops "early")
+    @ ratio "speedup_w32_part4_vs_part1" (part_kops 1) (part_kops 4)
+  in
   let oc = open_out path in
-  output_string oc (Buffer.contents buf);
+  output_string oc (J.to_string (obj (sections @ headlines)));
+  output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n%!" path
 
@@ -903,13 +705,9 @@ let full_run ~smoke =
      churn that costs the engine rows ~12% even after a compaction. *)
   let engine_rows = Engine_churn.rows ~smoke () in
   let micro = run_micro ~smoke () in
-  (* Fan the distinct simulated configurations of the fig2 and keyed
-     sections out over domains before the (sequential, memo-served)
-     section builds below. *)
-  prefill_points ~smoke ~jobs (fig2_configs @ keyed_configs);
-  prefill_part ~smoke ~jobs;
-  prefill_open ~smoke ~jobs;
-  let fig2 = sim_fig2 ~smoke () in
+  (* Fan the distinct fault-free grid points out over domains before the
+     (sequential, memo-served) section builds below. *)
+  prefill ~jobs (grid ~smoke);
   let micro_for_json =
     List.filter
       (fun (name, _) ->
@@ -927,13 +725,7 @@ let full_run ~smoke =
   let json_path =
     Option.value (Sys.getenv_opt "PSMR_BENCH_JSON") ~default:"BENCH_cos.json"
   in
-  write_json ~path:json_path ~micro:micro_for_json ~fig2
-    ~keyed:(sim_keyed ~smoke ())
-    ~part:(sim_part ~smoke ())
-    ~open_loop:(sim_open_loop ~smoke ())
-    ~faults:(sim_faults ~smoke ())
-    ~metrics:(sim_metrics ~smoke ())
-    ~engine:engine_rows;
+  write_json ~smoke ~path:json_path ~micro:micro_for_json ~engine:engine_rows;
   validate_json ~path:json_path;
   if (not smoke) && not (getenv_flag "PSMR_BENCH_SKIP_FIGURES") then begin
     let opts =
@@ -958,8 +750,8 @@ let () =
   else if getenv_flag "PSMR_BENCH_OPEN_ONLY" then begin
     (* Open-loop sweeps only (the @bench-open alias): the lib/traffic
        latency-under-load grid, printed as tables, no JSON. *)
-    let jobs = getenv_int "PSMR_BENCH_JOBS" 1 in
-    prefill_open ~smoke ~jobs;
-    print_open_loop (sim_open_loop ~smoke ())
+    prefill ~jobs:(getenv_int "PSMR_BENCH_JOBS" 1)
+      (List.concat_map snd (open_loop ~smoke));
+    print_open_loop ~smoke
   end
   else full_run ~smoke

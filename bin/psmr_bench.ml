@@ -212,7 +212,7 @@ let faults_arg =
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:
           "Deterministic fault schedule, e.g. \
-           'seed=7,net-loss=1,worker-crash=1\\@0.05+0.02'.  See \
+           'seed=7,net-loss=1,worker-crash=1@0.05+0.02'.  See \
            docs/FAULTS.md for the grammar.  The run is replayable from the \
            workload seed and this spec alone.")
 
@@ -227,35 +227,47 @@ let trace_out_arg =
            execution slices, one per simulated process with critical \
            sections.")
 
+module Pipeline = Psmr_harness.Pipeline
+
+let print_engine (r : Pipeline.result) =
+  if r.wall_seconds > 0.0 then
+    Printf.printf "engine: %d events in %.3fs wall (%.0f events/s)\n"
+      r.engine_events r.wall_seconds
+      (float_of_int r.engine_events /. r.wall_seconds)
+
+let print_faults faults (r : Pipeline.result) =
+  if not (Psmr_fault.Schedule.is_empty faults) then
+    Printf.printf "faults: %s -> %d injected, %d workers crashed\n"
+      (Psmr_fault.Schedule.to_string faults)
+      r.faults_injected r.crashed_workers
+
+let print_metrics metrics (r : Pipeline.result) =
+  match (metrics, r.metrics) with
+  | true, Some m ->
+      print_string
+        (Psmr_obs.Metrics.to_json
+           ~cost_model:(Psmr_sim.Costs.to_assoc Psmr_harness.Model.sim_costs)
+           m)
+  | _ -> ()
+
 let standalone_cmd =
   let run impl workers writes cost duration faults metrics trace_out =
     let r =
-      Psmr_harness.Standalone.run ~impl ~workers
-        ~spec:{ write_pct = writes; cost }
-        ?duration ~faults ~metrics
+      Pipeline.run ~metrics
         ~trace:(trace_out <> None)
-        ()
+        (Pipeline.config
+           ~driver:(Max_rate (Plain { write_pct = writes; cost }))
+           ~backend:(Psmr_early.Registry.Cos impl) ~workers ?duration ~faults
+           ())
     in
     Printf.printf "%s workers=%d writes=%g%% cost=%s: %.1f kops/s (mean population %.1f)\n"
       (Psmr_cos.Registry.to_string impl)
       workers writes
       (Psmr_workload.Workload.cost_label cost)
       r.kops r.mean_population;
-    if r.wall_seconds > 0.0 then
-      Printf.printf "engine: %d events in %.3fs wall (%.0f events/s)\n"
-        r.engine_events r.wall_seconds
-        (float_of_int r.engine_events /. r.wall_seconds);
-    if not (Psmr_fault.Schedule.is_empty faults) then
-      Printf.printf "faults: %s -> %d injected, %d workers crashed\n"
-        (Psmr_fault.Schedule.to_string faults)
-        r.faults_injected r.crashed_workers;
-    (match (metrics, r.metrics) with
-    | true, Some m ->
-        print_string
-          (Psmr_obs.Metrics.to_json
-             ~cost_model:(Psmr_sim.Costs.to_assoc Psmr_harness.Model.sim_costs)
-             m)
-    | _ -> ());
+    print_engine r;
+    print_faults faults r;
+    print_metrics metrics r;
     match (trace_out, r.trace) with
     | Some path, Some tr ->
         let oc = open_out path in
@@ -358,8 +370,9 @@ let keyed_cmd =
       }
     in
     let r =
-      Psmr_harness.Keyed_bench.run ~backend ~workers ~spec ~batch ?duration
-        ~faults ~metrics ()
+      Pipeline.run ~metrics
+        (Pipeline.config ~driver:(Max_rate (Keyed spec)) ~backend ~workers
+           ~batch ?duration ~faults ())
     in
     Printf.printf
       "%s workers=%d %s: %.1f kops/s (mean population %.1f)\n"
@@ -367,26 +380,15 @@ let keyed_cmd =
       workers
       (Format.asprintf "%a" Psmr_workload.Workload.Keyed.pp spec)
       r.kops r.mean_population;
-    if r.wall_seconds > 0.0 then
-      Printf.printf "engine: %d events in %.3fs wall (%.0f events/s)\n"
-        r.engine_events r.wall_seconds
-        (float_of_int r.engine_events /. r.wall_seconds);
-    if r.direct + r.rendezvous > 0 then
+    print_engine r;
+    let d = r.dispatch in
+    if d.direct + d.rendezvous > 0 then
       Printf.printf
         "classes: %d direct, %d rendezvous; repairs %d (revoked %d, dropped \
          %d)\n"
-        r.direct r.rendezvous r.repairs r.revoked r.dropped;
-    if not (Psmr_fault.Schedule.is_empty faults) then
-      Printf.printf "faults: %s -> %d injected, %d workers crashed\n"
-        (Psmr_fault.Schedule.to_string faults)
-        r.faults_injected r.crashed_workers;
-    match (metrics, r.metrics) with
-    | true, Some m ->
-        print_string
-          (Psmr_obs.Metrics.to_json
-             ~cost_model:(Psmr_sim.Costs.to_assoc Psmr_harness.Model.sim_costs)
-             m)
-    | _ -> ()
+        d.direct d.rendezvous d.repairs d.revoked d.dropped;
+    print_faults faults r;
+    print_metrics metrics r
   in
   Cmd.v
     (Cmd.info "keyed"
@@ -436,34 +438,21 @@ let part_cmd =
         mis_pct = 0.0;
       }
     in
-    let r =
-      Psmr_harness.Part_bench.run ~partitions ~workers ~spec ?replicas ~batch
-        ?duration ~metrics ()
+    let c =
+      Pipeline.config ~driver:(Max_rate (Keyed spec))
+        ~ordering:(Pipeline.partition ?replicas partitions)
+        ~backend:(Psmr_early.Registry.Early Psmr_early.Early_intf.conservative)
+        ~workers ~batch ?duration ()
     in
-    let replicas =
-      match replicas with
-      | Some n -> n
-      | None -> Psmr_harness.Part_bench.default_replicas ~partitions
-    in
-    Printf.printf "%s: %.1f kops/s\n"
-      (Psmr_harness.Part_bench.config_label ~partitions ~replicas ~workers
-         ~batch spec)
-      r.kops;
+    let r = Pipeline.run ~metrics c in
+    Printf.printf "%s: %.1f kops/s\n" (Pipeline.label c) r.kops;
+    let m = r.merge in
     Printf.printf
       "merge: %d emitted (%d singles, %d crosses), %d holes, %d pending, %d \
        views\n"
-      r.emitted r.singles r.crosses r.holes r.merge_pending r.views;
-    if r.wall_seconds > 0.0 then
-      Printf.printf "engine: %d events in %.3fs wall (%.0f events/s)\n"
-        r.engine_events r.wall_seconds
-        (float_of_int r.engine_events /. r.wall_seconds);
-    match (metrics, r.metrics) with
-    | true, Some m ->
-        print_string
-          (Psmr_obs.Metrics.to_json
-             ~cost_model:(Psmr_sim.Costs.to_assoc Psmr_harness.Model.sim_costs)
-             m)
-    | _ -> ()
+      m.emitted m.singles m.crosses m.holes m.pending m.views;
+    print_engine r;
+    print_metrics metrics r
   in
   Cmd.v
     (Cmd.info "part"
@@ -480,12 +469,12 @@ let part_cmd =
    latency under load and the saturation knee (docs/WORKLOADS.md). *)
 let target_conv =
   let parse s =
-    match Psmr_harness.Load_bench.target_of_string s with
+    match Pipeline.target_of_string s with
     | Some t -> Ok t
     | None -> Error (`Msg (Printf.sprintf "unknown open-loop target %S" s))
   in
-  let print ppf t =
-    Format.pp_print_string ppf (Psmr_harness.Load_bench.target_label t)
+  let print ppf (ordering, backend) =
+    Format.pp_print_string ppf (Pipeline.target_label ordering backend)
   in
   Arg.conv (parse, print)
 
@@ -493,8 +482,7 @@ let target_arg =
   Arg.(
     value
     & opt target_conv
-        (Psmr_harness.Load_bench.Backend
-           (Psmr_early.Registry.Cos Psmr_cos.Registry.Indexed))
+        (Pipeline.Direct, Psmr_early.Registry.Cos Psmr_cos.Registry.Indexed)
     & info [ "impl" ] ~docv:"TARGET"
         ~doc:
           "Open-loop target: any backend name (coarse, indexed, early, \
@@ -540,32 +528,38 @@ let rates_arg =
 let sessions_arg =
   Arg.(
     value
-    & opt int Psmr_harness.Load_bench.default_sessions
+    & opt int Pipeline.default_sessions
     & info [ "sessions" ] ~docv:"N" ~doc:"Logical client-session population.")
 
 let queue_arg =
   Arg.(
     value
-    & opt int Psmr_harness.Load_bench.default_queue_cap
+    & opt int Pipeline.default_queue_cap
     & info [ "queue" ] ~docv:"N"
         ~doc:"Offered-queue bound; arrivals beyond it are shed, not blocked.")
 
 let open_loop_cmd =
-  let run target workers scenario records theta rates sessions queue duration =
+  let run (ordering, backend) workers scenario records theta rates sessions
+      queue duration =
     let scenario = Psmr_traffic.Scenario.spec ~records ~theta scenario in
+    let rates = List.map (fun k -> k *. 1000.0) rates in
     let sweep =
-      Psmr_harness.Load_bench.sweep ~target ~workers ~scenario
-        ~rates:(List.map (fun k -> k *. 1000.0) rates)
-        ~sessions ~queue_cap:queue ?duration ()
+      Pipeline.sweep ~rates
+        (Pipeline.config
+           ~driver:
+             (* the arrival shape is set per rate by the sweep *)
+             (Pipeline.open_loop ~sessions ~queue_cap:queue scenario
+                (Psmr_traffic.Arrival.Poisson { rate = 0.0 }))
+           ~ordering ~backend ~workers ?duration ())
     in
     Printf.printf "%s workers=%d %s: open-loop sweep\n"
-      (Psmr_harness.Load_bench.target_label target)
+      (Pipeline.target_label ordering backend)
       workers
       (Format.asprintf "%a" Psmr_traffic.Scenario.pp_spec scenario);
     Printf.printf "%10s %10s %7s %12s %12s %12s %8s\n" "offered" "kops"
       "drop%" "p50(ms)" "p99(ms)" "p999(ms)" "queue";
     List.iter
-      (fun (s : Psmr_harness.Load_bench.step) ->
+      (fun (s : Pipeline.result) ->
         Printf.printf "%10.1f %10.1f %7.2f %12.4f %12.4f %12.4f %8d\n"
           s.offered_kops s.kops
           (100.0 *. s.drop_rate)

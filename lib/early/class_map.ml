@@ -24,8 +24,8 @@
    With [classes = workers] every class has exactly one worker and all
    single-class commands (reads and writes alike) take the fast path; with
    [classes = 1] the map degenerates to the readers/writers discipline of
-   [Psmr_sched.Early]: reads round-robin across all workers, writes
-   rendezvous with everyone.
+   queue-dispatch early scheduling: reads round-robin across all workers,
+   writes rendezvous with everyone.
 
    Planning mutates round-robin cursors and scratch stamps, so it is
    single-threaded by contract — only the parallelizer plans. *)

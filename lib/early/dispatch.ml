@@ -543,10 +543,23 @@ struct
      case falls back to per-command submits.  [spec_out] is
      submit-thread-private, so the test is stable for the whole batch.
      This is the conservative feed's (and the optimistic protocol's
-     0%-mis) fast path. *)
-  let submit_batch t cs =
+     0%-mis) fast path.
+
+     Slots are reserved before any entry is published, so a batch larger
+     than the whole window could never get them all: it is published in
+     window-sized slices instead, each of which fits once the previous
+     ones have executed. *)
+  let rec submit_batch t cs =
     let n = Array.length cs in
-    if n = 0 then ()
+    if n > t.wmax then begin
+      let off = ref 0 in
+      while !off < n do
+        let k = min t.wmax (n - !off) in
+        submit_batch t (Array.sub cs !off k);
+        off := !off + k
+      done
+    end
+    else if n = 0 then ()
     else begin
       Probe.batch n;
       if t.spec_out > 0 then Array.iter (submit t) cs

@@ -16,6 +16,16 @@
 
 open Psmr_workload
 
+(* One standalone point (§7.3): the max-rate feeder over the paper's list
+   workload straight into [backend]. *)
+let standalone ?max_size ?batch ?duration ?warmup ~workers spec backend =
+  (Pipeline.run
+     (Pipeline.config ~driver:(Max_rate (Plain spec)) ~backend ~workers
+        ?batch ?max_size ?duration ?warmup ()))
+    .kops
+
+let cos impl = Psmr_early.Registry.Cos impl
+
 (* --- lock granularity spectrum --- *)
 
 (** Throughput of the striped COS as stripe width grows, bracketed by
@@ -29,14 +39,9 @@ let granularity ?(workers = 16)
       let points =
         List.map
           (fun k ->
-            let r =
-              Standalone.run
-                ~impl:(Psmr_cos.Registry.Striped k)
-                ~workers
-                ~spec:{ write_pct; cost }
-                ?duration ?warmup ()
-            in
-            (float_of_int k, r.kops))
+            ( float_of_int k,
+              standalone ~workers ?duration ?warmup { write_pct; cost }
+                (cos (Psmr_cos.Registry.Striped k)) ))
           widths
       in
       { Psmr_util.Table.name = Workload.cost_label cost; points })
@@ -54,12 +59,10 @@ let graph_size ?(workers = 16) ?(write_pct = 5.0)
       let points =
         List.map
           (fun max_size ->
-            let r =
-              Standalone.run ~impl ~workers ~max_size
-                ~spec:{ write_pct; cost = Workload.Moderate }
-                ?duration ?warmup ()
-            in
-            (float_of_int max_size, r.kops))
+            ( float_of_int max_size,
+              standalone ~max_size ~workers ?duration ?warmup
+                { write_pct; cost = Workload.Moderate }
+                (cos impl) ))
           sizes
       in
       { Psmr_util.Table.name = Psmr_cos.Registry.to_string impl; points })
@@ -75,12 +78,10 @@ let realistic_conflicts ?(workers = 16)
       let points =
         List.map
           (fun pct ->
-            let r =
-              Standalone.run ~impl ~workers
-                ~spec:{ write_pct = pct; cost = Workload.Moderate }
-                ?duration ?warmup ()
-            in
-            (pct, r.kops))
+            ( pct,
+              standalone ~workers ?duration ?warmup
+                { write_pct = pct; cost = Workload.Moderate }
+                (cos impl) ))
           write_pcts
       in
       { Psmr_util.Table.name = Psmr_cos.Registry.to_string impl; points })
@@ -99,12 +100,10 @@ let indexed_vs_scan ?(write_pct = 0.0)
     let points =
       List.map
         (fun w ->
-          let r =
-            Standalone.run ~impl ~workers:w ~batch
-              ~spec:{ Workload.write_pct; cost = Workload.Light }
-              ?duration ?warmup ()
-          in
-          (float_of_int w, r.kops))
+          ( float_of_int w,
+            standalone ~batch ~workers:w ?duration ?warmup
+              { Workload.write_pct; cost = Workload.Light }
+              (cos impl) ))
         worker_counts
     in
     { Psmr_util.Table.name; points }
@@ -116,8 +115,8 @@ let indexed_vs_scan ?(write_pct = 0.0)
       batch;
   ]
 
-(* Readers-writers command for the micro-measure below (same relation as
-   [Standalone]'s internal command). *)
+(* Readers-writers command for the micro-measure below (the relation of
+   the pipeline's [Plain] workload). *)
 module Rw_cmd = struct
   type t = bool
 
@@ -167,80 +166,35 @@ let insert_cost_vs_population
 
 (* --- early vs late scheduling --- *)
 
-(* Standalone throughput of the early (queue-dispatch) scheduler on the
-   simulated platform, mirroring [Standalone.run]'s setup so the comparison
-   with the COS algorithms is apples to apples. *)
-let run_early ~workers ~(spec : Workload.spec) ?(duration = 0.08)
-    ?(warmup = 0.02) ?(seed = 42L) () =
-  let engine = Psmr_sim.Engine.create () in
-  let (module SP) = Psmr_sim.Sim_platform.make engine Model.sim_costs in
-  let module Rw = struct
-    type t = bool
-
-    let is_write w = w
-    let pp ppf w = Format.pp_print_string ppf (if w then "w" else "r")
-  end in
-  let module E = Psmr_sched.Early.Make (SP) (Rw) in
-  let cpu = Psmr_sim.Sim_sync.Cpu.create ~cores:Model.cores in
-  let measuring = ref false in
-  let completed = ref 0 in
-  let execute is_write =
-    Psmr_sim.Sim_sync.Cpu.use cpu (Model.exec_cost spec.cost ~is_write);
-    if !measuring then incr completed
-  in
-  let sched = E.start ~workers ~execute () in
-  let rng = Psmr_util.Rng.create ~seed in
-  Psmr_sim.Engine.spawn engine (fun () ->
-      let rec feed () =
-        (* Early scheduling has no bounded shared structure; throttle the
-           inserter to a bounded in-flight window comparable to the COS
-           bound so queues do not grow without limit. *)
-        if E.in_flight sched < 150 then
-          E.submit sched (Psmr_util.Rng.below_percent rng spec.write_pct)
-        else SP.sleep 2e-6;
-        feed ()
-      in
-      feed ());
-  Psmr_sim.Engine.spawn engine ~delay:warmup (fun () -> measuring := true);
-  Psmr_sim.Engine.run ~until:(warmup +. duration) engine;
-  float_of_int !completed /. duration /. 1000.0
-
-(** Early (queue-dispatch) scheduling versus the lock-free COS across the
-    write-percentage axis, light cost: early scheduling wins at very low
-    conflict rates (no scheduling structure at all) and degrades faster as
-    every write barriers all workers. *)
+(** Early (queue-dispatch) scheduling versus the lock-free and coarse COS
+    across the write-percentage axis, light cost.  Early scheduling is the
+    one-class dispatcher — the readers/writers discipline: reads
+    round-robin across all workers, every write rendezvouses with all of
+    them.  It wins at very low conflict rates (no scheduling structure at
+    all) and degrades faster as every write barriers all workers. *)
 let early_vs_late ?(workers = 16)
     ?(write_pcts = [ 0.; 1.; 5.; 10.; 15.; 25.; 50.; 100. ]) ?duration ?warmup
     () =
-  let early =
+  let series name backend =
     {
-      Psmr_util.Table.name = "early scheduling";
+      Psmr_util.Table.name;
       points =
         List.map
           (fun pct ->
             ( pct,
-              run_early ~workers
-                ~spec:{ Workload.write_pct = pct; cost = Workload.Light }
-                ?duration ?warmup () ))
+              standalone ~workers ?duration ?warmup
+                { Workload.write_pct = pct; cost = Workload.Light }
+                backend ))
           write_pcts;
     }
   in
-  let late impl =
-    {
-      Psmr_util.Table.name = Psmr_cos.Registry.to_string impl;
-      points =
-        List.map
-          (fun pct ->
-            let r =
-              Standalone.run ~impl ~workers
-                ~spec:{ Workload.write_pct = pct; cost = Workload.Light }
-                ?duration ?warmup ()
-            in
-            (pct, r.kops))
-          write_pcts;
-    }
-  in
-  [ early; late Psmr_cos.Registry.Lockfree; late Psmr_cos.Registry.Coarse ]
+  let late impl = series (Psmr_cos.Registry.to_string impl) (cos impl) in
+  [
+    series "early scheduling"
+      (Psmr_early.Registry.Early { classes = Some 1; optimistic = false });
+    late Psmr_cos.Registry.Lockfree;
+    late Psmr_cos.Registry.Coarse;
+  ]
 
 (* --- failover timeline --- *)
 

@@ -57,17 +57,6 @@ val insert_cost_vs_population :
     inserted command stays live.  Scan-based inserts grow linearly with
     the population; the indexed insert stays flat. *)
 
-val run_early :
-  workers:int ->
-  spec:Psmr_workload.Workload.spec ->
-  ?duration:float ->
-  ?warmup:float ->
-  ?seed:int64 ->
-  unit ->
-  float
-(** Standalone throughput (kops/s) of the early scheduler under the same
-    setup as [Standalone.run]. *)
-
 val early_vs_late :
   ?workers:int ->
   ?write_pcts:float list ->
@@ -75,7 +64,8 @@ val early_vs_late :
   ?warmup:float ->
   unit ->
   Psmr_util.Table.series list
-(** A4 — queue-dispatch early scheduling vs the lock-free and coarse COS. *)
+(** A4 — early scheduling (the one-class dispatcher: the readers/writers
+    discipline) vs the lock-free and coarse COS. *)
 
 val failover_timeline :
   ?crash_at:float ->

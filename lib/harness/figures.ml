@@ -33,8 +33,8 @@ type options = {
 
 let default_options =
   {
-    duration = Standalone.default_duration;
-    warmup = Standalone.default_warmup;
+    duration = Pipeline.default_duration;
+    warmup = Pipeline.default_warmup;
     smr_duration = Smr.default_duration;
     smr_warmup = Smr.default_warmup;
     workers = Workload.paper_worker_counts;
@@ -76,6 +76,13 @@ let note opts fmt =
 let par_map opts f xs =
   Array.to_list (Psmr_sim.Grid_runner.map ~jobs:opts.jobs f (Array.of_list xs))
 
+(* One standalone point (§7.3): the max-rate feeder straight into a COS. *)
+let standalone opts ~impl ~workers spec =
+  Pipeline.run
+    (Pipeline.config ~driver:(Max_rate (Plain spec))
+       ~backend:(Psmr_early.Registry.Cos impl) ~workers
+       ~duration:opts.duration ~warmup:opts.warmup ())
+
 (* --- Figure 2: standalone, throughput vs workers, 0% writes --- *)
 
 let fig2 opts cost =
@@ -87,11 +94,7 @@ let fig2 opts cost =
   let kops =
     par_map opts
       (fun (impl, w) ->
-        let r =
-          Standalone.run ~impl ~workers:w
-            ~spec:{ write_pct = 0.0; cost }
-            ~duration:opts.duration ~warmup:opts.warmup ()
-        in
+        let r = standalone opts ~impl ~workers:w { write_pct = 0.0; cost } in
         note opts "fig2 %s %s w=%d: %.1f kops"
           (Workload.cost_label cost)
           (Psmr_cos.Registry.to_string impl)
@@ -123,11 +126,7 @@ let fig3 opts cost =
   let kops =
     par_map opts
       (fun (impl, workers, pct) ->
-        let r =
-          Standalone.run ~impl ~workers
-            ~spec:{ write_pct = pct; cost }
-            ~duration:opts.duration ~warmup:opts.warmup ()
-        in
+        let r = standalone opts ~impl ~workers { write_pct = pct; cost } in
         note opts "fig3 %s %s %g%%w: %.1f kops"
           (Workload.cost_label cost)
           (Psmr_cos.Registry.to_string impl)

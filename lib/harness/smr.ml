@@ -100,13 +100,16 @@ let run ~(mode : Psmr_replica.Replica.mode) ~(spec : Psmr_workload.Workload.spec
     SMR.Deployment.replica_executed d 0 - !executed_at_warmup
   in
   let lat = Psmr_util.Vec.to_array latencies in
-  let mean, p99 =
-    if Array.length lat = 0 then (0.0, 0.0)
-    else begin
-      Array.sort compare lat;
-      (Psmr_util.Stats.mean lat, Psmr_util.Stats.percentile lat 99.0)
-    end
-  in
+  (* A wedged deployment must not read as an idle one with 0 ms latency. *)
+  if Array.length lat = 0 then
+    failwith
+      (Printf.sprintf
+         "Smr.run: no call completed inside the %g s measurement window (%d \
+          clients)"
+         duration clients);
+  Array.sort compare lat;
+  let mean = Psmr_util.Stats.mean lat in
+  let p99 = Psmr_util.Stats.percentile lat 99.0 in
   {
     kops = float_of_int executed /. duration /. 1000.0;
     mean_latency_ms = mean *. 1e3;

@@ -31,4 +31,7 @@ val run :
     deployment: message loss/duplication/delay in the simulated network and
     worker crashes/stalls/slowdowns inside the replicas' parallel
     executors.  Empty schedule: bit-identical to a run without fault
-    support. *)
+    support.
+
+    Raises [Failure] when no client call completes inside the measurement
+    window: a stalled deployment has no latency to report. *)

@@ -182,3 +182,60 @@ let quote s =
     s;
   Buffer.add_char b '"';
   Buffer.contents b
+
+(* Shortest decimal that reads back as the same float, so printing then
+   parsing is the identity on every finite number. *)
+let number f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if Float.is_finite f then
+    let rec go p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else go (p + 1)
+    in
+    go 15
+  else "null"
+
+let scalar = function
+  | Null -> Some "null"
+  | Bool x -> Some (string_of_bool x)
+  | Num f -> Some (number f)
+  | Str s -> Some (quote s)
+  | Arr _ | Obj _ -> None
+
+let to_string v =
+  let b = Buffer.create 4096 in
+  let rec value indent = function
+    | Arr [] -> Buffer.add_string b "[]"
+    | Obj [] -> Buffer.add_string b "{}"
+    | Arr items ->
+        container indent "[" "]" (List.map (fun x -> (None, x)) items)
+    | Obj fields ->
+        container indent "{ " " }" (List.map (fun (k, x) -> (Some k, x)) fields)
+    | v -> Buffer.add_string b (Option.value (scalar v) ~default:"null")
+  (* A container of scalars that fits in a line goes on one line (a table
+     row); anything else is laid out one member per line. *)
+  and container indent op cl members =
+    let key = function Some k -> quote k ^ ": " | None -> "" in
+    let inline =
+      List.map (fun (k, x) -> Option.map (fun s -> key k ^ s) (scalar x)) members
+    in
+    let line =
+      if List.for_all Option.is_some inline then
+        Some (op ^ String.concat ", " (List.filter_map Fun.id inline) ^ cl)
+      else None
+    in
+    match line with
+    | Some l when String.length indent + String.length l <= 200 ->
+        Buffer.add_string b l
+    | _ ->
+        Buffer.add_string b (String.trim op);
+        List.iteri
+          (fun i (k, x) ->
+            Buffer.add_string b (if i > 0 then ",\n" else "\n");
+            Buffer.add_string b (indent ^ "  " ^ key k);
+            value (indent ^ "  ") x)
+          members;
+        Buffer.add_string b ("\n" ^ indent ^ String.trim cl)
+  in
+  value "" v;
+  Buffer.contents b

@@ -1,7 +1,7 @@
-(** Minimal JSON parser, used to schema-check the machine-readable outputs
-    (metrics blocks, Chrome trace files) in tests and in the bench smoke
-    run.  There is no JSON library in the build environment; this supports
-    exactly the subset the exporters emit (and standard JSON in general):
+(** Minimal JSON parser and printer, used to write the benchmark report
+    and to schema-check the machine-readable outputs (metrics blocks,
+    Chrome trace files) in tests and in the bench smoke run.  There is no
+    JSON library in the build environment; this supports standard JSON:
     objects, arrays, strings with escapes, numbers, booleans and null. *)
 
 type t =
@@ -29,3 +29,10 @@ val quote : string -> string
 (** Render a string as a JSON string literal, escaping quotes, backslashes
     and control characters — the encoding dual of {!parse}'s string
     reader. *)
+
+val to_string : t -> string
+(** Render a value: containers holding only scalars on one line, anything
+    else one member per line, indented.  Numbers print as the shortest
+    decimal that parses back to the same float, so [parse (to_string v)]
+    is [Ok v] for every [v] without non-finite numbers (those print as
+    [null]). *)

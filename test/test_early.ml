@@ -1,129 +1,9 @@
-(* Tests for the early (queue-dispatch) scheduler: the related-work baseline
-   architecture where scheduling decisions happen at delivery time. *)
+(* Tests for early scheduling (Psmr_early): the related-work architecture
+   where scheduling decisions happen at delivery time — the class map, the
+   barrier, the conservative and optimistic dispatcher, the backend
+   registry, and the dispatcher driven through the experiment pipeline. *)
 
 module RP = Psmr_platform.Real_platform
-
-module Rw = struct
-  type t = { idx : int; write : bool }
-
-  let is_write c = c.write
-  let pp ppf c = Format.fprintf ppf "%s%d" (if c.write then "w" else "r") c.idx
-end
-
-module E = Psmr_sched.Early.Make (RP) (Rw)
-
-let test_reads_parallel_writes_exclusive () =
-  let inside = Atomic.make 0 in
-  let write_overlap = Atomic.make false in
-  let peak_reads = Atomic.make 0 in
-  let execute (c : Rw.t) =
-    let now_inside = 1 + Atomic.fetch_and_add inside 1 in
-    if c.write && now_inside > 1 then Atomic.set write_overlap true;
-    if not c.write then begin
-      let rec bump () =
-        let cur = Atomic.get peak_reads in
-        if now_inside > cur && not (Atomic.compare_and_set peak_reads cur now_inside)
-        then bump ()
-      in
-      bump ()
-    end;
-    Thread.yield ();
-    Atomic.decr inside
-  in
-  let sched = E.start ~workers:4 ~execute () in
-  let rng = Psmr_util.Rng.create ~seed:31L in
-  for i = 0 to 999 do
-    E.submit sched { Rw.idx = i; write = Psmr_util.Rng.below_percent rng 10.0 }
-  done;
-  E.shutdown sched;
-  Alcotest.(check int) "all executed" 1000 (E.executed sched);
-  Alcotest.(check bool) "writes ran alone" false (Atomic.get write_overlap)
-
-let test_equivalent_to_sequential () =
-  (* Execute a real linked-list workload and compare responses with
-     sequential delivery-order execution (same check as for the COS). *)
-  let commands = 1500 in
-  let rng = Psmr_util.Rng.create ~seed:32L in
-  let cmds =
-    Array.init commands (fun i ->
-        let target = Psmr_util.Rng.int rng 200 in
-        ( i,
-          if Psmr_util.Rng.below_percent rng 25.0 then
-            Psmr_app.Linked_list.Add target
-          else Psmr_app.Linked_list.Contains target ))
-  in
-  let ref_list = Psmr_app.Linked_list.create ~initial_size:100 in
-  let expected =
-    Array.map (fun (_, c) -> Psmr_app.Linked_list.execute ref_list c) cmds
-  in
-  let par_list = Psmr_app.Linked_list.create ~initial_size:100 in
-  let responses = Array.make commands None in
-  let execute (c : Rw.t) =
-    let _, real = cmds.(c.Rw.idx) in
-    responses.(c.Rw.idx) <- Some (Psmr_app.Linked_list.execute par_list real)
-  in
-  let sched = E.start ~workers:6 ~execute () in
-  Array.iter
-    (fun (i, c) ->
-      E.submit sched { Rw.idx = i; write = Psmr_app.Linked_list.is_write c })
-    cmds;
-  E.shutdown sched;
-  Array.iteri
-    (fun i exp ->
-      match responses.(i) with
-      | Some got when got = exp -> ()
-      | Some got -> Alcotest.failf "response %d: expected %b got %b" i exp got
-      | None -> Alcotest.failf "missing response %d" i)
-    expected;
-  Alcotest.(check int) "final size" (Psmr_app.Linked_list.size ref_list)
-    (Psmr_app.Linked_list.size par_list)
-
-let test_single_worker_sequential () =
-  let order = ref [] in
-  let execute (c : Rw.t) = order := c.Rw.idx :: !order in
-  let sched = E.start ~workers:1 ~execute () in
-  for i = 0 to 49 do
-    E.submit sched { Rw.idx = i; write = i mod 3 = 0 }
-  done;
-  E.shutdown sched;
-  Alcotest.(check (list int)) "delivery order" (List.init 50 Fun.id)
-    (List.rev !order)
-
-let test_all_writes_totally_ordered () =
-  let last = Atomic.make (-1) in
-  let ok = Atomic.make true in
-  let execute (c : Rw.t) =
-    if Atomic.exchange last c.Rw.idx >= c.Rw.idx then Atomic.set ok false
-  in
-  let sched = E.start ~workers:8 ~execute () in
-  for i = 0 to 299 do
-    E.submit sched { Rw.idx = i; write = true }
-  done;
-  E.shutdown sched;
-  Alcotest.(check bool) "monotone execution order" true (Atomic.get ok)
-
-let test_on_sim_deterministic () =
-  let open Psmr_sim in
-  let run () =
-    let e = Engine.create () in
-    let (module SP) = Sim_platform.make e Costs.default in
-    let module SE = Psmr_sched.Early.Make (SP) (Rw) in
-    let executed_at = ref 0.0 in
-    Engine.spawn e (fun () ->
-        let sched = SE.start ~workers:8 ~execute:(fun _ -> SP.sleep 1e-5) () in
-        let rng = Psmr_util.Rng.create ~seed:33L in
-        for i = 0 to 499 do
-          SE.submit sched
-            { Rw.idx = i; write = Psmr_util.Rng.below_percent rng 15.0 }
-        done;
-        SE.shutdown sched;
-        executed_at := SP.now ());
-    Engine.run e;
-    !executed_at
-  in
-  let a = run () and b = run () in
-  Alcotest.(check bool) "ran" true (a > 0.0);
-  Alcotest.(check (float 0.0)) "deterministic" a b
 
 (* ====================================================================== *)
 (* lib/early: the class-map dispatch subsystem (Psmr_early).              *)
@@ -235,19 +115,24 @@ let test_barrier_rendezvous () =
 
 (* --- conservative dispatch --- *)
 
-let test_dispatch_rw_one_class () =
+let test_dispatch_rw_one_class workers () =
   (* classes = 1 makes the keyed dispatcher a readers-writers scheduler:
-     writes rendezvous every worker, reads fan out round-robin. *)
+     writes rendezvous every worker, reads fan out round-robin.  With a
+     single worker every command is a direct append to its one queue, so
+     execution follows delivery order exactly. *)
   let inside = Atomic.make 0 in
   let write_overlap = Atomic.make false in
+  let order_m = Mutex.create () in
+  let order = ref [] in
   let execute (c : Fc.t) =
     let now_inside = 1 + Atomic.fetch_and_add inside 1 in
     if List.exists snd c.fp && now_inside > 1 then
       Atomic.set write_overlap true;
+    Mutex.protect order_m (fun () -> order := c.idx :: !order);
     Thread.yield ();
     Atomic.decr inside
   in
-  let d = D.start_full ~classes:1 ~workers:4 ~execute () in
+  let d = D.start_full ~classes:1 ~workers ~execute () in
   let rng = Psmr_util.Rng.create ~seed:34L in
   let writes = ref 0 in
   for i = 0 to 799 do
@@ -258,9 +143,43 @@ let test_dispatch_rw_one_class () =
   D.shutdown d;
   Alcotest.(check int) "all executed" 800 (D.executed d);
   Alcotest.(check bool) "writes ran alone" false (Atomic.get write_overlap);
-  Alcotest.(check int) "writes rendezvous" !writes (D.rendezvous_count d);
-  Alcotest.(check int) "reads direct" (800 - !writes) (D.direct_count d);
+  if workers = 1 then begin
+    Alcotest.(check int) "all direct" 800 (D.direct_count d);
+    Alcotest.(check (list int)) "delivery order" (List.init 800 Fun.id)
+      (List.rev !order)
+  end
+  else begin
+    Alcotest.(check int) "writes rendezvous" !writes (D.rendezvous_count d);
+    Alcotest.(check int) "reads direct" (800 - !writes) (D.direct_count d)
+  end;
   Alcotest.(check (list string)) "strict invariant" [] (D.invariant ~strict:true d)
+
+let test_dispatch_batch_above_window () =
+  (* Window slots are reserved before a batch is published, so a batch one
+     larger than the whole window must go out in slices rather than wait
+     for slots only its own execution could free.  On the simulator a
+     stall ends the run with the submitter parked instead of hanging. *)
+  let open Psmr_sim in
+  let e = Engine.create () in
+  let (module SP) = Sim_platform.make e Costs.default in
+  let module SD = Psmr_early.Dispatch.Make (SP) (Fc) in
+  let n = Psmr_cos.Cos_intf.default_max_size + 1 in
+  let executed = ref 0 and drained = ref false in
+  Engine.spawn e (fun () ->
+      let d =
+        SD.start ~workers:4
+          ~execute:(fun _ ->
+            SP.sleep 1e-6;
+            incr executed)
+          ()
+      in
+      SD.submit_batch d
+        (Array.init n (fun i -> { Fc.idx = i; fp = [ (i mod 7, i mod 5 = 0) ] }));
+      SD.shutdown d;
+      drained := true);
+  Engine.run e;
+  Alcotest.(check bool) "drained" true !drained;
+  Alcotest.(check int) "all executed" n !executed
 
 let test_dispatch_cross_class_total_order () =
   (* Writes covering every class are totally ordered by the barriers. *)
@@ -986,9 +905,16 @@ let test_submit_batch_alloc_budget () =
     Alcotest.failf
       "batched submit allocates %.0f minor words/command (budget 256)" per_cmd
 
+(* The keyed max-rate pipeline on the DES: a short window over [backend]. *)
+let keyed_run ?(workers = 8) ?faults spec backend =
+  Psmr_harness.Pipeline.(
+    run
+      (config ~driver:(Max_rate (Keyed spec)) ~backend ~workers ?faults
+         ~duration:0.01 ~warmup:0.002 ()))
+
 (* --- worker crash inside the repair window (DES) --- *)
 
-let test_keyed_bench_opt_crash_mid_repair () =
+let test_keyed_pipeline_opt_crash_mid_repair () =
   (* Crash a worker while the optimistic run is actively repairing
      (mis_pct high enough that rollbacks are continuously in flight): the
      crashed worker's reservation must requeue and the run keep
@@ -998,14 +924,13 @@ let test_keyed_bench_opt_crash_mid_repair () =
     { Psmr_workload.Workload.Keyed.low_conflict with keys = 16; mis_pct = 30.0 }
   in
   let r =
-    Psmr_harness.Keyed_bench.run
-      ~backend:(Psmr_early.Registry.Early Psmr_early.Early_intf.optimistic)
-      ~workers:4 ~spec ~faults ~duration:0.01 ~warmup:0.002 ()
+    keyed_run ~workers:4 ~faults spec
+      (Psmr_early.Registry.Early Psmr_early.Early_intf.optimistic)
   in
   Alcotest.(check int) "one crash" 1 r.crashed_workers;
   Alcotest.(check bool) "fault injected" true (r.faults_injected >= 1);
-  Alcotest.(check bool) "repairs happened" true (r.repairs > 0);
-  Alcotest.(check bool) "rollbacks happened" true (r.rollbacks > 0);
+  Alcotest.(check bool) "repairs happened" true (r.dispatch.repairs > 0);
+  Alcotest.(check bool) "rollbacks happened" true (r.dispatch.rollbacks > 0);
   Alcotest.(check bool) "kept completing after respawn" true (r.executed > 0)
 
 (* --- registry --- *)
@@ -1066,70 +991,51 @@ let backend_smoke backend () =
 
 (* --- the keyed-workload harness on the DES --- *)
 
-let test_keyed_bench_early () =
+let test_keyed_pipeline_early () =
   let r =
-    Psmr_harness.Keyed_bench.run
-      ~backend:(Psmr_early.Registry.Early Psmr_early.Early_intf.conservative)
-      ~workers:8 ~spec:Psmr_workload.Workload.Keyed.low_conflict
-      ~duration:0.01 ~warmup:0.002 ()
+    keyed_run Psmr_workload.Workload.Keyed.low_conflict
+      (Psmr_early.Registry.Early Psmr_early.Early_intf.conservative)
   in
   Alcotest.(check bool) "executed some" true (r.executed > 0);
   Alcotest.(check bool) "positive kops" true (r.kops > 0.0);
-  Alcotest.(check bool) "fast path dominates" true (r.direct > r.rendezvous);
-  Alcotest.(check int) "nothing dropped" 0 r.dropped
+  Alcotest.(check bool) "fast path dominates" true
+    (r.dispatch.direct > r.dispatch.rendezvous);
+  Alcotest.(check int) "nothing dropped" 0 r.dispatch.dropped
 
-let test_keyed_bench_optimistic_repairs () =
+let test_keyed_pipeline_optimistic_repairs () =
   let spec =
     { Psmr_workload.Workload.Keyed.low_conflict with keys = 32; mis_pct = 10.0 }
   in
   let r =
-    Psmr_harness.Keyed_bench.run
-      ~backend:(Psmr_early.Registry.Early Psmr_early.Early_intf.optimistic)
-      ~workers:8 ~spec ~duration:0.01 ~warmup:0.002 ()
+    keyed_run spec (Psmr_early.Registry.Early Psmr_early.Early_intf.optimistic)
   in
   Alcotest.(check bool) "executed some" true (r.executed > 0);
-  Alcotest.(check bool) "mis-speculation repaired" true (r.repairs > 0);
-  Alcotest.(check bool) "revoked >= repairs" true (r.revoked >= r.repairs)
+  Alcotest.(check bool) "mis-speculation repaired" true (r.dispatch.repairs > 0);
+  Alcotest.(check bool) "revoked >= repairs" true
+    (r.dispatch.revoked >= r.dispatch.repairs)
 
-let test_keyed_bench_crash_respawn () =
+let test_keyed_pipeline_crash_respawn () =
   let faults = Psmr_fault.Schedule.parse_exn "worker-crash=2@0.004+0.002" in
   let r =
-    Psmr_harness.Keyed_bench.run
-      ~backend:(Psmr_early.Registry.Early Psmr_early.Early_intf.conservative)
-      ~workers:4 ~spec:Psmr_workload.Workload.Keyed.low_conflict ~faults
-      ~duration:0.01 ~warmup:0.002 ()
+    keyed_run ~workers:4 ~faults Psmr_workload.Workload.Keyed.low_conflict
+      (Psmr_early.Registry.Early Psmr_early.Early_intf.conservative)
   in
   Alcotest.(check int) "one crash" 1 r.crashed_workers;
   Alcotest.(check bool) "fault injected" true (r.faults_injected >= 1);
   Alcotest.(check bool) "kept executing after respawn" true (r.executed > 0)
 
-let test_keyed_bench_cos_backend () =
+let test_keyed_pipeline_cos_backend () =
   let r =
-    Psmr_harness.Keyed_bench.run
-      ~backend:(Psmr_early.Registry.Cos Psmr_cos.Registry.Indexed)
-      ~workers:8 ~spec:Psmr_workload.Workload.Keyed.low_conflict
-      ~duration:0.01 ~warmup:0.002 ()
+    keyed_run Psmr_workload.Workload.Keyed.low_conflict
+      (Psmr_early.Registry.Cos Psmr_cos.Registry.Indexed)
   in
   Alcotest.(check bool) "executed some" true (r.executed > 0);
-  Alcotest.(check int) "no early stats on cos" 0 (r.direct + r.rendezvous)
+  Alcotest.(check int) "no early stats on cos" 0
+    (r.dispatch.direct + r.dispatch.rendezvous)
 
 let () =
   Alcotest.run "early-scheduler"
     [
-      ( "correctness",
-        [
-          Alcotest.test_case "reads parallel, writes exclusive" `Quick
-            test_reads_parallel_writes_exclusive;
-          Alcotest.test_case "equivalent to sequential" `Quick
-            test_equivalent_to_sequential;
-          Alcotest.test_case "single worker sequential" `Quick
-            test_single_worker_sequential;
-          Alcotest.test_case "writes totally ordered" `Quick
-            test_all_writes_totally_ordered;
-        ] );
-      ( "sim",
-        [ Alcotest.test_case "deterministic" `Quick test_on_sim_deterministic ]
-      );
       ( "class-map",
         [
           Alcotest.test_case "shape and clamping" `Quick test_class_map_shape;
@@ -1140,7 +1046,11 @@ let () =
       ( "dispatch",
         [
           Alcotest.test_case "one class = readers-writers" `Quick
-            test_dispatch_rw_one_class;
+            (test_dispatch_rw_one_class 4);
+          Alcotest.test_case "one class, one worker = sequential" `Quick
+            (test_dispatch_rw_one_class 1);
+          Alcotest.test_case "batch above the window drains" `Quick
+            test_dispatch_batch_above_window;
           Alcotest.test_case "cross-class writes totally ordered" `Quick
             test_dispatch_cross_class_total_order;
           Alcotest.test_case "equivalent to sequential" `Quick
@@ -1185,14 +1095,14 @@ let () =
         ] );
       ( "harness",
         [
-          Alcotest.test_case "keyed bench early" `Quick test_keyed_bench_early;
-          Alcotest.test_case "keyed bench optimistic repairs" `Quick
-            test_keyed_bench_optimistic_repairs;
-          Alcotest.test_case "keyed bench crash respawn" `Quick
-            test_keyed_bench_crash_respawn;
-          Alcotest.test_case "keyed bench crash mid-repair (early-opt)" `Quick
-            test_keyed_bench_opt_crash_mid_repair;
-          Alcotest.test_case "keyed bench cos backend" `Quick
-            test_keyed_bench_cos_backend;
+          Alcotest.test_case "keyed pipeline early" `Quick test_keyed_pipeline_early;
+          Alcotest.test_case "keyed pipeline optimistic repairs" `Quick
+            test_keyed_pipeline_optimistic_repairs;
+          Alcotest.test_case "keyed pipeline crash respawn" `Quick
+            test_keyed_pipeline_crash_respawn;
+          Alcotest.test_case "keyed pipeline crash mid-repair (early-opt)" `Quick
+            test_keyed_pipeline_opt_crash_mid_repair;
+          Alcotest.test_case "keyed pipeline cos backend" `Quick
+            test_keyed_pipeline_cos_backend;
         ] );
     ]

@@ -9,7 +9,7 @@ module Metrics = Psmr_obs.Metrics
 module Trace = Psmr_obs.Trace
 module Histogram = Psmr_util.Histogram
 module Registry = Psmr_cos.Registry
-module Standalone = Psmr_harness.Standalone
+module Pipeline = Psmr_harness.Pipeline
 module J = Psmr_util.Json
 
 let impls =
@@ -114,30 +114,32 @@ let test_zero_perturbation impl () =
 let spec = { Psmr_workload.Workload.write_pct = 10.0; cost = Moderate }
 
 let standalone ~metrics ~trace () =
-  Standalone.run ~impl:Registry.Lockfree ~workers:8 ~spec ~duration:0.02
-    ~warmup:0.005 ~metrics ~trace ()
+  Pipeline.run ~metrics ~trace
+    (Pipeline.config ~driver:(Max_rate (Plain spec))
+       ~backend:(Psmr_early.Registry.Cos Registry.Lockfree) ~workers:8
+       ~duration:0.02 ~warmup:0.005 ())
 
 let test_deterministic_exports () =
   let a = standalone ~metrics:true ~trace:true () in
   let b = standalone ~metrics:true ~trace:true () in
-  Alcotest.(check (float 0.0)) "same throughput" a.Standalone.kops b.kops;
-  Alcotest.(check int) "same executed count" a.Standalone.executed b.executed;
+  Alcotest.(check (float 0.0)) "same throughput" a.Pipeline.kops b.kops;
+  Alcotest.(check int) "same executed count" a.Pipeline.executed b.executed;
   Alcotest.(check string)
     "byte-identical metrics documents"
-    (Metrics.to_json (Option.get a.Standalone.metrics))
-    (Metrics.to_json (Option.get b.Standalone.metrics));
+    (Metrics.to_json (Option.get a.Pipeline.metrics))
+    (Metrics.to_json (Option.get b.Pipeline.metrics));
   Alcotest.(check string)
     "byte-identical trace documents"
-    (Trace.to_json (Option.get a.Standalone.trace))
-    (Trace.to_json (Option.get b.Standalone.trace))
+    (Trace.to_json (Option.get a.Pipeline.trace))
+    (Trace.to_json (Option.get b.Pipeline.trace))
 
 let test_throughput_unaffected () =
   let off = standalone ~metrics:false ~trace:false () in
   let on = standalone ~metrics:true ~trace:true () in
   Alcotest.(check (float 0.0))
-    "identical throughput with observability on" off.Standalone.kops on.kops;
+    "identical throughput with observability on" off.Pipeline.kops on.kops;
   Alcotest.(check int)
-    "identical executed count" off.Standalone.executed on.executed
+    "identical executed count" off.Pipeline.executed on.executed
 
 (* --- exported document schemas --- *)
 
@@ -148,7 +150,7 @@ let num_member name j =
 
 let test_metrics_schema () =
   let r = standalone ~metrics:true ~trace:false () in
-  let doc = Metrics.to_json (Option.get r.Standalone.metrics) in
+  let doc = Metrics.to_json (Option.get r.Pipeline.metrics) in
   match J.parse doc with
   | Error msg -> Alcotest.failf "metrics JSON does not parse: %s" msg
   | Ok j ->
@@ -221,7 +223,7 @@ let test_assoc_p999_ledger () =
 
 let test_trace_schema () =
   let r = standalone ~metrics:true ~trace:true () in
-  let doc = Trace.to_json (Option.get r.Standalone.trace) in
+  let doc = Trace.to_json (Option.get r.Pipeline.trace) in
   match J.parse doc with
   | Error msg -> Alcotest.failf "trace JSON does not parse: %s" msg
   | Ok j ->
@@ -351,7 +353,7 @@ let test_bench_engine_schema () =
     (List.mem "churn_10m" names)
 
 (* The committed report must also carry the partitioned-ordering grid
-   (bench/main.ml [part_sim_kops], produced by Part_bench): well-formed
+   (bench/main.ml [part_sim_kops], the partitioned pipeline): well-formed
    partitions × workers rows, the ISSUE-9 acceptance ratio (>= 1.7x at 4
    partitions vs 1 at w32 on a <= 5%-cross keyed workload) both present as
    a scalar and consistent with the rows it was derived from, and the
@@ -450,7 +452,7 @@ let test_bench_part_schema () =
     all_cross
 
 (* The committed report must also carry the open-loop latency-under-load
-   grid (bench/main.ml [open_loop], produced by Load_bench over the
+   grid (bench/main.ml [open_loop], the open-loop pipeline over the
    lib/traffic arrival/scenario stack): one row per scheduler family on
    the Zipfian YCSB-A scenario, each with a non-empty offered-load sweep
    carrying the full quantile family plus drop rate per step and a
@@ -529,37 +531,73 @@ let test_bench_open_loop_schema () =
     (Printf.sprintf "part4 knee %.0f > coarse knee %.0f" part4 coarse)
     true (part4 > coarse)
 
-(* Memo-key coverage for the partition grid (the PR-8 lesson: a %.0f in a
+(* Memo-key coverage for the bench grid (the PR-8 lesson: a %.0f in a
    memo key collapsed distinct fractional rates into one simulated point).
-   [Part_bench.config_label] must keep every grid dimension — partitions
-   included — and fractional workload rates distinct. *)
-let test_part_config_label () =
-  let module PB = Psmr_harness.Part_bench in
+   [Pipeline.label] must keep every configuration dimension — each driver
+   and each ordering included — and fractional rates distinct. *)
+let test_pipeline_label () =
+  let module P = Pipeline in
   let base = Psmr_workload.Workload.Keyed.low_conflict in
-  let label ?(partitions = 4) ?(workers = 32) ?(batch = 16) spec =
-    PB.config_label ~partitions
-      ~replicas:(PB.default_replicas ~partitions)
-      ~workers ~batch spec
+  let early = Psmr_early.Registry.Early Psmr_early.Early_intf.conservative in
+  let open_loop ?queue_cap rate =
+    P.open_loop ?queue_cap
+      (Psmr_traffic.Scenario.spec Psmr_traffic.Scenario.A)
+      (Psmr_traffic.Arrival.Poisson { rate })
   in
+  let plain write_pct =
+    P.Max_rate (Plain { write_pct; cost = Psmr_workload.Workload.Light })
+  in
+  let label ?(driver = P.Max_rate (Keyed base)) ?(ordering = P.partition 4)
+      ?(backend = early) ?(workers = 32) ?batch ?max_size ?duration ?seed
+      ?faults () =
+    P.label
+      (P.config ~driver ~ordering ~backend ~workers ?batch ?max_size ?duration
+         ?seed ?faults ())
+  in
+  let keyed spec = P.Max_rate (Keyed spec) in
   let distinct what a b =
     if String.equal a b then
       Alcotest.failf "%s collide on memo key %S" what a
   in
-  distinct "partition counts" (label ~partitions:1 base) (label ~partitions:4 base);
-  distinct "worker counts" (label ~workers:8 base) (label ~workers:32 base);
-  distinct "batch sizes" (label ~batch:1 base) (label ~batch:16 base);
+  distinct "max-rate plain vs keyed" (label ~driver:(plain 10.0) ()) (label ());
+  distinct "max-rate vs open loop" (label ~driver:(open_loop 1e5) ()) (label ());
+  distinct "direct vs partition" (label ~ordering:Direct ()) (label ());
+  distinct "partition counts"
+    (label ~ordering:(P.partition 1) ())
+    (label ~ordering:(P.partition 4) ());
+  distinct "replica counts" (label ~ordering:(P.partition ~replicas:7 4) ()) (label ());
+  distinct "backends"
+    (label ~backend:(Psmr_early.Registry.Cos Psmr_cos.Registry.Indexed) ())
+    (label ());
+  distinct "worker counts" (label ~workers:8 ()) (label ~workers:32 ());
+  distinct "batch sizes" (label ~batch:1 ()) (label ~batch:16 ());
+  distinct "max sizes" (label ~max_size:150 ()) (label ());
+  distinct "windows" (label ~duration:0.02 ()) (label ());
+  distinct "seeds" (label ~seed:7L ()) (label ());
+  distinct "faults"
+    (label ~faults:(Psmr_fault.Schedule.parse_exn "worker-crash=1@0.01") ())
+    (label ());
+  distinct "queue caps"
+    (label ~driver:(open_loop ~queue_cap:512 1e5) ())
+    (label ~driver:(open_loop 1e5) ());
   (* The %.0f collision class: rates that agree after integer rounding. *)
+  distinct "fractional plain write rates"
+    (label ~driver:(plain 2.0) ())
+    (label ~driver:(plain 2.4) ());
   distinct "fractional cross rates"
-    (label { base with cross_pct = 0.1 })
-    (label { base with cross_pct = 0.4 });
+    (label ~driver:(keyed { base with cross_pct = 0.1 }) ())
+    (label ~driver:(keyed { base with cross_pct = 0.4 }) ());
   distinct "fractional write rates"
-    (label { base with write_pct = 2.0 })
-    (label { base with write_pct = 2.4 });
+    (label ~driver:(keyed { base with write_pct = 2.0 }) ())
+    (label ~driver:(keyed { base with write_pct = 2.4 }) ());
   distinct "fractional mis rates"
-    (label { base with mis_pct = 0.1 })
-    (label { base with mis_pct = 0.25 });
+    (label ~driver:(keyed { base with mis_pct = 0.1 }) ())
+    (label ~driver:(keyed { base with mis_pct = 0.25 }) ());
+  distinct "fractional arrival rates"
+    (label ~driver:(open_loop 1000.0) ())
+    (label ~driver:(open_loop 1000.4) ());
   (* Replica count is part of the key even when derived. *)
-  let l = label base in
+  let l = label () in
   List.iter
     (fun sub ->
       let n = String.length sub in
@@ -602,8 +640,8 @@ let () =
             test_bench_part_schema;
           Alcotest.test_case "bench report open-loop grid" `Quick
             test_bench_open_loop_schema;
-          Alcotest.test_case "partition grid memo keys" `Quick
-            test_part_config_label;
+          Alcotest.test_case "pipeline memo keys" `Quick
+            test_pipeline_label;
         ] );
       ( "check-platform",
         [

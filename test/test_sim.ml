@@ -448,13 +448,20 @@ let trace_digest run =
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
     (Engine.now e) (Engine.events_executed e)
 
+module Pipeline = Psmr_harness.Pipeline
+
 let golden_spec = { Psmr_workload.Workload.write_pct = 15.0; cost = Light }
 
-let golden_standalone impl ~probe_engine =
+let golden_run ~probe_engine ~driver ?ordering ~backend ?batch ?faults () =
   ignore
-    (Psmr_harness.Standalone.run ~impl ~workers:8 ~spec:golden_spec
-       ~duration:0.02 ~warmup:0.005 ~seed:7L ~probe_engine ()
-      : Psmr_harness.Standalone.result)
+    (Pipeline.run ~probe_engine
+       (Pipeline.config ~driver ?ordering ~backend ~workers:8 ?batch
+          ~duration:0.02 ~warmup:0.005 ~seed:7L ?faults ())
+      : Pipeline.result)
+
+let golden_standalone impl ~probe_engine =
+  golden_run ~probe_engine ~driver:(Max_rate (Plain golden_spec))
+    ~backend:(Psmr_early.Registry.Cos impl) ()
 
 let golden_keyed ?batch name ~probe_engine =
   let backend = Option.get (Psmr_early.Registry.of_string name) in
@@ -462,10 +469,7 @@ let golden_keyed ?batch name ~probe_engine =
   let spec =
     { Psmr_workload.Workload.Keyed.low_conflict with keys = 64; mis_pct = 10.0 }
   in
-  ignore
-    (Psmr_harness.Keyed_bench.run ~backend ~workers:8 ~spec ?batch
-       ~duration:0.02 ~warmup:0.005 ~seed:7L ~probe_engine ()
-      : Psmr_harness.Keyed_bench.result)
+  golden_run ~probe_engine ~driver:(Max_rate (Keyed spec)) ~backend ?batch ()
 
 (* The partitioned stack (P sequencers over the simulated LAN, merge,
    class-map executor), with cross-partition commands in the stream. *)
@@ -473,21 +477,20 @@ let golden_part partitions ~probe_engine =
   let spec =
     { Psmr_workload.Workload.Keyed.low_conflict with keys = 64; cross_pct = 10.0 }
   in
-  ignore
-    (Psmr_harness.Part_bench.run ~partitions ~workers:8 ~spec ~duration:0.02
-       ~warmup:0.005 ~seed:7L ~probe_engine ()
-      : Psmr_harness.Part_bench.result)
+  golden_run ~probe_engine ~driver:(Max_rate (Keyed spec))
+    ~ordering:(Pipeline.partition partitions)
+    ~backend:(Psmr_early.Registry.Early Psmr_early.Early_intf.conservative) ()
 
 (* One open-loop step: Poisson YCSB-A arrivals through the bounded offered
    queue into [target]. *)
 let golden_open target rate ~probe_engine =
-  let target = Option.get (Psmr_harness.Load_bench.target_of_string target) in
-  ignore
-    (Psmr_harness.Load_bench.run_step ~target ~workers:8
-       ~scenario:(Psmr_traffic.Scenario.spec Psmr_traffic.Scenario.A)
-       ~shape:(Psmr_traffic.Arrival.Poisson { rate })
-       ~duration:0.02 ~warmup:0.005 ~seed:7L ~probe_engine ()
-      : Psmr_harness.Load_bench.step)
+  let ordering, backend = Option.get (Pipeline.target_of_string target) in
+  golden_run ~probe_engine
+    ~driver:
+      (Pipeline.open_loop
+         (Psmr_traffic.Scenario.spec Psmr_traffic.Scenario.A)
+         (Psmr_traffic.Arrival.Poisson { rate }))
+    ~ordering ~backend ()
 
 (* A worker crash with respawn and a stall, mid-window. *)
 let golden_faults ~probe_engine =
@@ -495,11 +498,8 @@ let golden_faults ~probe_engine =
     Psmr_fault.Schedule.parse_exn
       "seed=11,worker-crash=1@0.01+0.004,worker-stall=2@0.012:0.002"
   in
-  ignore
-    (Psmr_harness.Standalone.run ~impl:Psmr_cos.Registry.Lockfree ~workers:8
-       ~spec:golden_spec ~duration:0.02 ~warmup:0.005 ~seed:7L ~faults
-       ~probe_engine ()
-      : Psmr_harness.Standalone.result)
+  golden_run ~probe_engine ~driver:(Max_rate (Plain golden_spec))
+    ~backend:(Psmr_early.Registry.Cos Psmr_cos.Registry.Lockfree) ~faults ()
 
 let golden_cases =
   let cos name impl = (name, fun ~probe_engine -> golden_standalone impl ~probe_engine) in

@@ -287,42 +287,42 @@ let test_scenario_service_mappings () =
     ignore (Psmr_app.Kv_store.execute kv (Scenario.to_kv op))
   done
 
-(* ---------- load harness ---------- *)
+(* ---------- the open-loop pipeline ---------- *)
+
+module Pipeline = Psmr_harness.Pipeline
 
 let scenario_a = Scenario.spec ~records:1_000 Scenario.A
 
-let indexed_target =
-  Psmr_harness.Load_bench.Backend (Psmr_early.Registry.Cos Psmr_cos.Registry.Indexed)
+let target name = Option.get (Pipeline.target_of_string name)
 
-let quick_step ?(target = indexed_target) ?(rate = 50_000.0)
-    ?(queue_cap = 512) ?(seed = 42L) () =
-  Psmr_harness.Load_bench.run_step ~target ~workers:4 ~scenario:scenario_a
-    ~shape:(Psmr_traffic.Arrival.Poisson { rate })
-    ~sessions:10_000 ~queue_cap ~duration:0.01 ~warmup:0.002 ~seed ()
+let quick_step ?(target = target "indexed") ?(rate = 50_000.0)
+    ?(queue_cap = 512) ?(duration = 0.01) ?(warmup = 0.002) () =
+  let ordering, backend = target in
+  Pipeline.run
+    (Pipeline.config
+       ~driver:
+         (Pipeline.open_loop ~sessions:10_000 ~queue_cap scenario_a
+            (Psmr_traffic.Arrival.Poisson { rate }))
+       ~ordering ~backend ~workers:4 ~duration ~warmup ())
 
 let test_load_deterministic () =
   let s1 = quick_step () and s2 = quick_step () in
   Alcotest.(check string) "byte-identical step export"
-    (Psmr_harness.Load_bench.step_to_string s1)
-    (Psmr_harness.Load_bench.step_to_string s2)
+    (Pipeline.to_string s1) (Pipeline.to_string s2)
 
 let test_load_completes () =
   let s = quick_step () in
-  if s.completed <= 0 then Alcotest.fail "no completions";
+  if s.executed <= 0 then Alcotest.fail "no completions";
   if s.samples <= 0 then Alcotest.fail "no latency samples";
   if not (s.p50 <= s.p99 && s.p99 <= s.p999 && s.p999 <= s.max_latency) then
     Alcotest.failf "quantiles out of order: %.3g %.3g %.3g %.3g" s.p50 s.p99
       s.p999 s.max_latency;
   (* Mildly loaded: nothing should be shed. *)
-  Alcotest.(check int) "no drops at mild load" 0 s.dropped
+  Alcotest.(check int) "no drops at mild load" 0 s.shed
 
 let test_load_sheds_when_overloaded () =
-  let s =
-    quick_step
-      ~target:(Psmr_harness.Load_bench.Backend (Psmr_early.Registry.Cos Psmr_cos.Registry.Coarse))
-      ~rate:2_000_000.0 ~queue_cap:128 ()
-  in
-  if s.dropped = 0 then Alcotest.fail "expected shedding at 2M offered";
+  let s = quick_step ~target:(target "coarse") ~rate:2_000_000.0 ~queue_cap:128 () in
+  if s.shed = 0 then Alcotest.fail "expected shedding at 2M offered";
   if s.queue_peak > 128 then
     Alcotest.failf "offered queue grew past its cap: %d" s.queue_peak;
   if not (s.drop_rate > 0.0 && s.drop_rate <= 1.0) then
@@ -334,39 +334,36 @@ let test_load_open_loop_arrivals () =
      indexed COS see the exact same offered stream (the arrival path
      pays no simulated cost, so the backend cannot perturb it). *)
   let coarse =
-    quick_step
-      ~target:(Psmr_harness.Load_bench.Backend (Psmr_early.Registry.Cos Psmr_cos.Registry.Coarse))
-      ~rate:400_000.0 ~queue_cap:256 ()
+    quick_step ~target:(target "coarse") ~rate:400_000.0 ~queue_cap:256 ()
   in
   let indexed = quick_step ~rate:400_000.0 ~queue_cap:256 () in
   Alcotest.(check int) "identical arrival counts" coarse.arrivals
     indexed.arrivals
 
 let test_load_optimistic_backend () =
-  let early_opt =
-    Option.get (Psmr_harness.Load_bench.target_of_string "early-opt")
-  in
-  let s = quick_step ~target:early_opt () in
-  if s.completed <= 0 then Alcotest.fail "no optimistic commits";
+  let s = quick_step ~target:(target "early-opt") () in
+  if s.executed <= 0 then Alcotest.fail "no optimistic commits";
   if s.samples <= 0 then Alcotest.fail "no commit latency samples"
 
 let test_load_partitioned_backend () =
   let s =
-    Psmr_harness.Load_bench.run_step
-      ~target:(Psmr_harness.Load_bench.Partitioned 2)
-      ~workers:4 ~scenario:scenario_a
-      ~shape:(Psmr_traffic.Arrival.Poisson { rate = 50_000.0 })
-      ~sessions:10_000 ~queue_cap:512 ~duration:0.02 ~warmup:0.005 ~seed:42L ()
+    quick_step ~target:(target "part2") ~duration:0.02 ~warmup:0.005 ()
   in
-  if s.completed <= 0 then Alcotest.fail "no partitioned completions";
+  if s.executed <= 0 then Alcotest.fail "no partitioned completions";
   (* The ordering path (batching + LAN + merge) is part of the latency. *)
   if s.p50 < Psmr_harness.Model.lan_latency then
     Alcotest.failf "partitioned p50 %.3g below one network hop" s.p50
 
+let test_optimistic_partition_rejected () =
+  match quick_step ~target:(Pipeline.partition 2, snd (target "early-opt")) () with
+  | _ -> Alcotest.fail "an optimistic backend under Partition must be rejected"
+  | exception Invalid_argument _ -> ()
+
 let test_target_parsing () =
   let round s =
-    Option.map Psmr_harness.Load_bench.target_label
-      (Psmr_harness.Load_bench.target_of_string s)
+    Option.map
+      (fun (ordering, backend) -> Pipeline.target_label ordering backend)
+      (Pipeline.target_of_string s)
   in
   Alcotest.(check (option string)) "part4" (Some "part4") (round "part4");
   Alcotest.(check (option string)) "part-2" (Some "part2") (round "part-2");
@@ -375,42 +372,26 @@ let test_target_parsing () =
   Alcotest.(check (option string)) "junk" None (round "part-zero");
   Alcotest.(check (option string)) "junk2" None (round "part0")
 
-let synthetic_step offered p99 drop_rate : Psmr_harness.Load_bench.step =
-  {
-    offered_kops = offered;
-    arrivals = 1000;
-    completed = 900;
-    dropped = 0;
-    drop_rate;
-    kops = offered;
-    samples = 900;
-    p50 = p99 /. 2.0;
-    p99;
-    p999 = p99 *. 2.0;
-    mean_latency = p99 /. 2.0;
-    max_latency = p99 *. 3.0;
-    queue_peak = 10;
-    engine_events = 0;
-    wall_seconds = 0.0;
-  }
-
 let test_knee_detection () =
+  let base = quick_step () in
+  let step offered p99 drop_rate =
+    { base with Pipeline.offered_kops = offered; p99; drop_rate }
+  in
   let steps =
     [
-      synthetic_step 25.0 1e-5 0.0;
-      synthetic_step 50.0 1.2e-5 0.0;
-      synthetic_step 100.0 9e-5 0.0;
-      synthetic_step 200.0 1e-3 0.5;
+      step 25.0 1e-5 0.0;
+      step 50.0 1.2e-5 0.0;
+      step 100.0 9e-5 0.0;
+      step 200.0 1e-3 0.5;
     ]
   in
   Alcotest.(check (option (float 1e-9))) "p99 knee" (Some 100.0)
-    (Psmr_harness.Load_bench.knee steps);
-  let flat = [ synthetic_step 25.0 1e-5 0.0; synthetic_step 50.0 2e-5 0.0 ] in
-  Alcotest.(check (option (float 1e-9))) "no knee" None
-    (Psmr_harness.Load_bench.knee flat);
-  let droppy = [ synthetic_step 25.0 1e-5 0.0; synthetic_step 50.0 1e-5 0.2 ] in
+    (Pipeline.knee steps);
+  let flat = [ step 25.0 1e-5 0.0; step 50.0 2e-5 0.0 ] in
+  Alcotest.(check (option (float 1e-9))) "no knee" None (Pipeline.knee flat);
+  let droppy = [ step 25.0 1e-5 0.0; step 50.0 1e-5 0.2 ] in
   Alcotest.(check (option (float 1e-9))) "drop knee" (Some 50.0)
-    (Psmr_harness.Load_bench.knee droppy)
+    (Pipeline.knee droppy)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -441,7 +422,7 @@ let () =
           Alcotest.test_case "labels" `Quick test_scenario_labels;
           Alcotest.test_case "service mappings" `Quick test_scenario_service_mappings;
         ] );
-      ( "load-bench",
+      ( "open-loop",
         [
           Alcotest.test_case "deterministic" `Quick test_load_deterministic;
           Alcotest.test_case "completes" `Quick test_load_completes;
@@ -449,6 +430,8 @@ let () =
           Alcotest.test_case "open-loop arrivals" `Quick test_load_open_loop_arrivals;
           Alcotest.test_case "optimistic backend" `Quick test_load_optimistic_backend;
           Alcotest.test_case "partitioned backend" `Slow test_load_partitioned_backend;
+          Alcotest.test_case "optimistic under partition rejected" `Quick
+            test_optimistic_partition_rejected;
           Alcotest.test_case "target parsing" `Quick test_target_parsing;
           Alcotest.test_case "knee detection" `Quick test_knee_detection;
         ] );

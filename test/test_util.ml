@@ -234,6 +234,63 @@ let test_table_series () =
   let csv = Table.csv_of_series ~x_label:"x" series in
   Alcotest.(check bool) "csv header" true (contains csv "x,a,b")
 
+(* --- json printer --- *)
+
+module J = Psmr_util.Json
+
+(* Finite numbers (integers, short decimals and arbitrary doubles),
+   strings with escapes, nested containers. *)
+let json_gen =
+  let open QCheck.Gen in
+  let num =
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        map (fun x -> Float.round (x *. 10.0) /. 10.0) (float_range (-1e4) 1e4);
+        map (fun x -> if Float.is_finite x then x else 0.5) float;
+      ]
+  in
+  let scalar =
+    oneof
+      [
+        return J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun f -> J.Num f) num;
+        map (fun s -> J.Str s) (string_size ~gen:printable (int_range 0 8));
+        return (J.Str "q\"b\\n\n\t\001");
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> J.Arr l) (list_size (int_range 0 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun l -> J.Obj (List.mapi (fun i v -> (Printf.sprintf "k%d" i, v)) l))
+                   (list_size (int_range 0 4) (self (n / 4))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string v) = v" ~count:500
+    (QCheck.make ~print:J.to_string json_gen) (fun v ->
+      J.parse (J.to_string v) = Ok v)
+
+let test_json_layout () =
+  let v =
+    J.Obj
+      [
+        ("rows", J.Arr [ J.Obj [ ("kops", J.Num 93.5); ("n", J.Num 3.0) ] ]);
+        ("r", J.Num 0.1);
+      ]
+  in
+  Alcotest.(check string) "rows inline, containers indented"
+    "{\n  \"rows\": [\n    { \"kops\": 93.5, \"n\": 3 }\n  ],\n  \"r\": 0.1\n}"
+    (J.to_string v)
+
 let () =
   let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests) in
   Alcotest.run "util"
@@ -276,6 +333,9 @@ let () =
           Alcotest.test_case "merge" `Quick test_histogram_merge;
           Alcotest.test_case "mean" `Quick test_histogram_mean;
         ] );
+      ( "json",
+        [ Alcotest.test_case "layout" `Quick test_json_layout ] );
+      qsuite "json-props" [ prop_json_roundtrip ];
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_render;

@@ -105,20 +105,25 @@ let prop_zipf_alias_frequencies =
 
 let tiny = 0.02
 
+(* The max-rate feeder over the list workload straight into a COS. *)
+let standalone ~impl ~workers ?(duration = tiny) ?(warmup = 0.005) spec =
+  Psmr_harness.Pipeline.(
+    run
+      (config ~driver:(Max_rate (Plain spec))
+         ~backend:(Psmr_early.Registry.Cos impl) ~workers ~duration ~warmup ()))
+
 let test_standalone_runs impl () =
   let r =
-    Psmr_harness.Standalone.run ~impl ~workers:4
-      ~spec:{ write_pct = 10.0; cost = Psmr_workload.Workload.Light }
-      ~duration:tiny ~warmup:0.005 ()
+    standalone ~impl ~workers:4
+      { write_pct = 10.0; cost = Psmr_workload.Workload.Light }
   in
   Alcotest.(check bool) "throughput positive" true (r.kops > 0.0);
   Alcotest.(check bool) "population within bound" true (r.mean_population <= 151.0)
 
 let test_standalone_deterministic () =
   let run () =
-    (Psmr_harness.Standalone.run ~impl:Psmr_cos.Registry.Lockfree ~workers:8
-       ~spec:{ write_pct = 5.0; cost = Psmr_workload.Workload.Light }
-       ~duration:tiny ~warmup:0.005 ())
+    (standalone ~impl:Psmr_cos.Registry.Lockfree ~workers:8
+       { write_pct = 5.0; cost = Psmr_workload.Workload.Light })
       .kops
   in
   Alcotest.(check (float 0.0)) "same kops" (run ()) (run ())
@@ -126,9 +131,8 @@ let test_standalone_deterministic () =
 let test_standalone_lockfree_fastest () =
   (* The paper's headline: lock-free beats coarse and fine at scale. *)
   let kops impl =
-    (Psmr_harness.Standalone.run ~impl ~workers:16
-       ~spec:{ write_pct = 0.0; cost = Psmr_workload.Workload.Light }
-       ~duration:0.04 ~warmup:0.01 ())
+    (standalone ~impl ~workers:16 ~duration:0.04 ~warmup:0.01
+       { write_pct = 0.0; cost = Psmr_workload.Workload.Light })
       .kops
   in
   let lf = kops Psmr_cos.Registry.Lockfree in
@@ -147,6 +151,33 @@ let test_smr_runs () =
   Alcotest.(check bool) "throughput positive" true (r.kops > 0.0);
   Alcotest.(check bool) "latency positive" true (r.mean_latency_ms > 0.0);
   Alcotest.(check int) "no view change" 0 r.views
+
+(* More in-flight commands than the early dispatcher's window (150): the
+   leader delivers batches of up to 256, which must still drain. *)
+let test_smr_early_batch_above_window () =
+  let r =
+    Psmr_harness.Smr.run
+      ~mode:(Psmr_replica.Replica.Parallel_early { workers = 8; classes = None })
+      ~spec:{ write_pct = 5.0; cost = Psmr_workload.Workload.Light }
+      ~clients:151 ~cmds_per_request:1 ~duration:0.03 ~warmup:0.02 ()
+  in
+  Alcotest.(check bool) "calls complete" true (r.completed_calls > 0);
+  Alcotest.(check bool) "throughput positive" true (r.kops > 0.0);
+  Alcotest.(check bool) "latency positive" true (r.p99_latency_ms > 0.0)
+
+(* A deployment that completes nothing (every message lost) is an error,
+   not a 0 ms latency. *)
+let test_smr_fails_without_completions () =
+  match
+    Psmr_harness.Smr.run
+      ~mode:(Psmr_replica.Replica.Parallel { impl = Psmr_cos.Registry.Lockfree; workers = 4 })
+      ~spec:{ write_pct = 0.0; cost = Psmr_workload.Workload.Light }
+      ~clients:4 ~duration:0.02 ~warmup:0.01
+      ~faults:(Psmr_fault.Schedule.parse_exn "net-loss=100")
+      ()
+  with
+  | r -> Alcotest.failf "reported %.1f kops with no completed call" r.kops
+  | exception Failure _ -> ()
 
 let test_smr_parallel_beats_sequential_moderate () =
   let kops mode =
@@ -222,6 +253,10 @@ let () =
       ( "smr-harness",
         [
           Alcotest.test_case "runs" `Slow test_smr_runs;
+          Alcotest.test_case "early, batch above the window" `Slow
+            test_smr_early_batch_above_window;
+          Alcotest.test_case "fails without completions" `Slow
+            test_smr_fails_without_completions;
           Alcotest.test_case "parallel beats sequential" `Slow
             test_smr_parallel_beats_sequential_moderate;
         ] );
