@@ -9,10 +9,13 @@
    Part 2 — a machine-readable summary, BENCH_cos.json: per-implementation
    micro costs, the simulated Fig. 2 standalone throughput (light cost,
    0% writes) for the scan-based and indexed inserts plus the early
-   class-map dispatcher, and the keyed low-conflict comparison at 32
-   workers (early vs early-opt under a mis-speculation sweep vs the COS
-   family).  All simulated points are memoized on their full
-   configuration, so a config shared between sections runs once.
+   class-map dispatcher, the keyed low-conflict comparison at 32 workers
+   (early vs early-opt under a mis-speculation sweep vs the COS family),
+   the partitioned-ordering grid, the open-loop sweeps, fault and metrics
+   rows, and DES engine speed.  Every simulated row is one
+   Psmr_harness.Pipeline configuration, memoized on its label, so a
+   config shared between sections runs once.  @bench-verify compares the
+   smoke-sized report with bench_smoke.golden.json.
 
    Part 3 — regeneration of every figure of the paper's evaluation (Figures
    2-6) through the simulation harness.  Set PSMR_BENCH_FAST=1 for a
@@ -193,10 +196,15 @@ let run_micro ~smoke () =
    fault-free points are fanned out over domains before the sections are
    assembled. *)
 module P = Psmr_harness.Pipeline
-module Keyed = Psmr_workload.Workload.Keyed
+module W = Psmr_workload.Workload
+module Keyed = W.Keyed
+module Scenario = Psmr_traffic.Scenario
+
+(* Measurement window and warm-up, virtual seconds. *)
+let window ~smoke = if smoke then (0.02, 0.005) else (0.08, 0.02)
 
 let point ~smoke ?ordering ?batch ~workers backend driver =
-  let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
+  let duration, warmup = window ~smoke in
   let backend =
     match Psmr_early.Registry.of_string backend with
     | Some b -> b
@@ -235,10 +243,7 @@ let result c =
    low-conflict workload at 0% writes — footprints are needed for the
    class map, the cost profile matches). *)
 let fig2 ~smoke =
-  let plain =
-    P.Max_rate
-      (Plain { write_pct = 0.0; cost = Psmr_workload.Workload.Light })
-  in
+  let plain = P.Max_rate (Plain { write_pct = 0.0; cost = W.Light }) in
   let keyed0 = P.Max_rate (Keyed { Keyed.low_conflict with write_pct = 0.0 }) in
   List.concat_map
     (fun w ->
@@ -291,8 +296,7 @@ let part ~smoke =
   let spec cost cross =
     { Keyed.low_conflict with cost; cross_pct = cross }
   in
-  let light = spec Psmr_workload.Workload.Light
-  and moderate = spec Psmr_workload.Workload.Moderate in
+  let light = spec W.Light and moderate = spec W.Moderate in
   List.map
     (fun (p, w, spec) ->
       ( (p, w, spec),
@@ -313,9 +317,10 @@ let part ~smoke =
    families near 1.0-1.2 Mops/s) so the knee lands on an interior step
    rather than the sweep edge. *)
 let open_loop_workers = 32
+let open_loop_scenario = Scenario.spec Scenario.A
 
 let open_loop ~smoke =
-  let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
+  let duration, warmup = window ~smoke in
   let rates =
     if smoke then [ 50_000.0; 200_000.0; 2_000_000.0 ]
     else
@@ -324,20 +329,24 @@ let open_loop ~smoke =
         1_000_000.0; 1_100_000.0; 1_200_000.0; 1_600_000.0;
       ]
   in
-  let scenario = Psmr_traffic.Scenario.spec Psmr_traffic.Scenario.A in
   List.map
     (fun name ->
       (* JSON row names use underscores; the target parser wants the
          registry spelling. *)
+      let spelled = String.map (function '_' -> '-' | c -> c) name in
       let ordering, backend =
-        match P.target_of_string (String.map (function '_' -> '-' | c -> c) name) with
+        match P.target_of_string spelled with
         | Some t -> t
         | None -> invalid_arg ("open_loop: unknown target " ^ name)
       in
+      (* the arrival shape is set per rate by [sweep_steps] *)
+      let driver =
+        P.open_loop open_loop_scenario
+          (Psmr_traffic.Arrival.Poisson { rate = 0.0 })
+      in
       let base =
-        P.config
-          ~driver:(P.open_loop scenario (Psmr_traffic.Arrival.Poisson { rate = 0.0 }))
-          ~ordering ~backend ~workers:open_loop_workers ~duration ~warmup ()
+        P.config ~driver ~ordering ~backend ~workers:open_loop_workers
+          ~duration ~warmup ()
       in
       (name, P.sweep_steps ~rates base))
     [ "coarse"; "indexed"; "early"; "early_opt"; "part4" ]
@@ -351,9 +360,8 @@ let print_open_loop ~smoke =
   List.iter
     (fun (name, steps) ->
       let steps = List.map result steps in
-      let scenario = Psmr_traffic.Scenario.spec Psmr_traffic.Scenario.A in
       Printf.printf "# open-loop %s workers=%d %s\n" name open_loop_workers
-        (Format.asprintf "%a" Psmr_traffic.Scenario.pp_spec scenario);
+        (Format.asprintf "%a" Scenario.pp_spec open_loop_scenario);
       List.iter
         (fun (s : P.result) ->
           Printf.printf
@@ -376,11 +384,10 @@ let print_open_loop ~smoke =
    respawn delay, and throughput dips rather than collapsing.  Faulty
    points install the global fault plan, so they run on the main domain,
    never in the prefilled grid. *)
-let moderate10 =
-  P.Max_rate (Plain { write_pct = 10.0; cost = Psmr_workload.Workload.Moderate })
+let moderate10 = P.Max_rate (Plain { write_pct = 10.0; cost = W.Moderate })
 
 let faults ~smoke =
-  let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
+  let duration, warmup = window ~smoke in
   let crash_spec =
     Printf.sprintf "seed=11,worker-crash=1@%g+%g" (warmup +. (duration /. 4.0))
       (duration /. 4.0)
@@ -435,7 +442,8 @@ let write_json ~smoke ~path ~micro ~engine =
       ( "micro_ns_per_op",
         J.Arr
           (List.map
-             (fun (name, ns) -> obj [ ("name", J.Str name); ("ns", num "%.2f" ns) ])
+             (fun (name, ns) ->
+               obj [ ("name", J.Str name); ("ns", num "%.2f" ns) ])
              micro) );
       ( "faults_sim_kops",
         J.Arr
@@ -455,7 +463,11 @@ let write_json ~smoke ~path ~micro ~engine =
           (List.map
              (fun ((w, impl), kops) ->
                obj
-                 [ ("workers", int w); ("impl", J.Str impl); ("kops", num "%.1f" kops) ])
+                 [
+                   ("workers", int w);
+                   ("impl", J.Str impl);
+                   ("kops", num "%.1f" kops);
+                 ])
              fig2) );
       ( "keyed_sim_kops",
         J.Arr
@@ -487,7 +499,7 @@ let write_json ~smoke ~path ~micro ~engine =
                    ("partitions", int p);
                    ("replicas", int (P.default_replicas ~partitions:p));
                    ("workers", int w);
-                   ("cost", J.Str (Psmr_workload.Workload.cost_label spec.cost));
+                   ("cost", J.Str (W.cost_label spec.cost));
                    ("cross_pct", num "%g" spec.cross_pct);
                    ("kops", num "%.1f" r.kops);
                    ("singles", int m.singles);
@@ -502,14 +514,14 @@ let write_json ~smoke ~path ~micro ~engine =
           (List.map
              (fun (name, configs) ->
                let steps = List.map result configs in
-               let scenario = Psmr_traffic.Scenario.spec Psmr_traffic.Scenario.A in
+               let sc = open_loop_scenario in
                obj
                  [
                    ("impl", J.Str name);
                    ("workers", int open_loop_workers);
-                   ("scenario", J.Str (Psmr_traffic.Scenario.label scenario.scenario));
-                   ("records", int scenario.records);
-                   ("theta", num "%g" scenario.theta);
+                   ("scenario", J.Str (Scenario.label sc.scenario));
+                   ("records", int sc.records);
+                   ("theta", num "%g" sc.theta);
                    ( "knee_kops",
                      match P.knee steps with
                      | Some k -> num "%.9g" k
@@ -539,7 +551,8 @@ let write_json ~smoke ~path ~micro ~engine =
                    ("name", J.Str r.name);
                    ("events", int r.events);
                    ("wall_seconds", num "%.6f" r.wall_seconds);
-                   ("events_per_second", num "%.0f" (Engine_churn.events_per_second r));
+                   ( "events_per_second",
+                     num "%.0f" (Engine_churn.events_per_second r) );
                  ])
              engine) );
     ]
@@ -579,117 +592,6 @@ let write_json ~smoke ~path ~micro ~engine =
   close_out oc;
   Printf.printf "wrote %s\n%!" path
 
-(* Re-read the summary and check its shape, so a malformed emitter fails
-   the run (and the @bench-smoke alias) rather than producing a file
-   downstream tooling chokes on. *)
-let validate_json ~path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let module J = Psmr_util.Json in
-  let fail fmt = Printf.ksprintf (fun m -> failwith (path ^ ": " ^ m)) fmt in
-  match J.parse s with
-  | Error msg -> fail "invalid JSON: %s" msg
-  | Ok j ->
-      let req name v =
-        match J.member name v with
-        | Some x -> x
-        | None -> fail "missing member %S" name
-      in
-      let req_num name v =
-        match J.as_num (req name v) with
-        | Some _ -> ()
-        | None -> fail "member %S is not a number" name
-      in
-      ignore (req "micro_ns_per_op" j);
-      ignore (req "fig2_sim_kops" j);
-      (match J.as_arr (req "keyed_sim_kops" j) with
-      | Some rows ->
-          List.iter
-            (fun row ->
-              List.iter (fun f -> req_num f row)
-                [
-                  "workers"; "mis_pct"; "kops"; "direct"; "rendezvous";
-                  "repairs"; "revoked"; "spec_execs"; "rollbacks"; "redos";
-                ])
-            rows
-      | None -> fail "member \"keyed_sim_kops\" is not a list");
-      (match J.as_arr (req "part_sim_kops" j) with
-      | Some (_ :: _ as rows) ->
-          List.iter
-            (fun row ->
-              List.iter (fun f -> req_num f row)
-                [
-                  "partitions"; "replicas"; "workers"; "cross_pct"; "kops";
-                  "singles"; "crosses"; "holes"; "merge_pending"; "views";
-                ])
-            rows
-      | Some [] -> fail "member \"part_sim_kops\" is empty"
-      | None -> fail "member \"part_sim_kops\" is not a list");
-      req_num "speedup_w32_part4_vs_part1" j;
-      (match J.as_arr (req "open_loop" j) with
-      | Some (_ :: _ as rows) ->
-          List.iter
-            (fun row ->
-              (match J.as_str (req "impl" row) with
-              | Some _ -> ()
-              | None -> fail "open_loop member \"impl\" is not a string");
-              List.iter (fun f -> req_num f row)
-                [ "workers"; "records"; "theta"; "knee_kops" ];
-              match J.as_arr (req "steps" row) with
-              | Some (_ :: _ as steps) ->
-                  List.iter
-                    (fun s ->
-                      List.iter (fun f -> req_num f s)
-                        [
-                          "offered_kops"; "kops"; "drop_rate"; "p50"; "p99";
-                          "p999";
-                        ])
-                    steps
-              | Some [] -> fail "open_loop row has empty \"steps\""
-              | None -> fail "open_loop member \"steps\" is not a list")
-            rows
-      | Some [] -> fail "member \"open_loop\" is empty"
-      | None -> fail "member \"open_loop\" is not a list");
-      (match J.as_arr (req "sim_events_per_wall_second" j) with
-      | Some (_ :: _ as rows) ->
-          List.iter
-            (fun row ->
-              List.iter (fun f -> req_num f row)
-                [ "events"; "wall_seconds"; "events_per_second" ])
-            rows
-      | Some [] -> fail "member \"sim_events_per_wall_second\" is empty"
-      | None -> fail "member \"sim_events_per_wall_second\" is not a list");
-      req_num "speedup_w32_early_vs_indexed" j;
-      (match J.as_arr (req "faults_sim_kops" j) with
-      | Some rows ->
-          List.iter
-            (fun row ->
-              List.iter (fun f -> req_num f row)
-                [ "kops_fault_free"; "kops_faulty"; "injected" ])
-            rows
-      | None -> fail "member \"faults_sim_kops\" is not a list");
-      let metrics = req "metrics" j in
-      List.iter
-        (fun block ->
-          let b = req block metrics in
-          let counters = req "counters" b in
-          List.iter
-            (fun c -> req_num c counters)
-            [
-              "lock_acquisitions"; "lock_wait"; "lock_hold"; "cas_attempts";
-              "cas_successes"; "sem_parks"; "sem_wakes"; "insert_ops";
-              "get_ops"; "remove_ops";
-            ];
-          let lat = req "latency_virtual_seconds" b in
-          List.iter
-            (fun h ->
-              let hv = req h lat in
-              List.iter (fun f -> req_num f hv) [ "count"; "p50"; "p95"; "p99" ])
-            [ "delivery_ready"; "ready_dispatch"; "dispatch_executed" ])
-        [ "coarse_w32"; "lockfree_w32" ];
-      Printf.printf "schema ok: %s\n%!" path
-
 let getenv_flag v =
   match Sys.getenv_opt v with Some ("1" | "true") -> true | _ -> false
 
@@ -711,22 +613,15 @@ let full_run ~smoke =
   let micro_for_json =
     List.filter
       (fun (name, _) ->
-        let has sub =
-          let n = String.length sub in
-          let rec scan i =
-            i + n <= String.length name
-            && (String.equal (String.sub name i n) sub || scan (i + 1))
-          in
-          scan 0
-        in
-        has "cos-cycle" || has "hashtbl")
+        List.exists
+          (fun prefix -> String.starts_with ~prefix name)
+          [ "micro/cos-cycle/"; "micro/hashtbl/" ])
       micro
   in
   let json_path =
     Option.value (Sys.getenv_opt "PSMR_BENCH_JSON") ~default:"BENCH_cos.json"
   in
   write_json ~smoke ~path:json_path ~micro:micro_for_json ~engine:engine_rows;
-  validate_json ~path:json_path;
   if (not smoke) && not (getenv_flag "PSMR_BENCH_SKIP_FIGURES") then begin
     let opts =
       if getenv_flag "PSMR_BENCH_FAST" then Psmr_harness.Figures.fast_options

@@ -49,14 +49,17 @@ let rec diff path (a : J.t) (b : J.t) acc =
         (List.length la)
       :: acc
   | J.Num x, J.Num y when Float.equal x y -> acc
-  | J.Num x, J.Num y -> Printf.sprintf "%s: %.17g, expected %.17g" path y x :: acc
+  | J.Num _, J.Num _ ->
+      Printf.sprintf "%s: %s, expected %s" path (J.to_string b) (J.to_string a)
+      :: acc
   | _ when a = b -> acc
   | _ -> (path ^ ": value differs") :: acc
 
 let () =
   match Sys.argv with
   | [| _; golden; actual |] -> (
-      match List.rev (diff "" (J.Obj (load golden)) (J.Obj (load actual)) []) with
+      let golden_doc = J.Obj (load golden) in
+      match List.rev (diff "" golden_doc (J.Obj (load actual)) []) with
       | [] -> Printf.printf "bench-verify: %s matches %s\n" actual golden
       | diffs ->
           List.iter prerr_endline diffs;

@@ -140,7 +140,8 @@ let target_of_string s =
       let num suffix =
         match int_of_string_opt suffix with
         | Some p when p >= 1 ->
-            Some (partition p, Registry.Early Psmr_early.Early_intf.conservative)
+            Some
+              (partition p, Registry.Early Psmr_early.Early_intf.conservative)
         | _ -> None
       in
       let s' = String.lowercase_ascii s in
@@ -362,7 +363,8 @@ let run ?(metrics = false) ?(trace = false)
            [queue_cap]. *)
         let q : Cmd.t Queue.t = Queue.create () in
         let pool =
-          Session.create ~seed:(Int64.add c.seed 0x5EEDL) ~sessions:o.sessions ()
+          Session.create ~seed:(Int64.add c.seed 0x5EEDL)
+            ~sessions:o.sessions ()
         in
         let gen = Scenario.generator o.scenario in
         let arr = Arrival.create ~seed:(Int64.add c.seed 0xA221L) o.shape in
@@ -378,7 +380,11 @@ let run ?(metrics = false) ?(trace = false)
                   let sid = Session.draw pool in
                   let op = Scenario.next gen (Session.stream pool sid) in
                   Queue.push
-                    { Cmd.fp = Scenario.footprint op; cost = op_cost op; born = now () }
+                    {
+                      Cmd.fp = Scenario.footprint op;
+                      cost = op_cost op;
+                      born = now ();
+                    }
                     q;
                   if len + 1 > !q_peak then q_peak := len + 1
                 end;
@@ -473,7 +479,8 @@ let run ?(metrics = false) ?(trace = false)
               in
               let entries = Array.make (Array.length finals) None in
               Array.iter
-                (fun i -> entries.(i) <- Some (D.submit_optimistic d finals.(i)))
+                (fun i ->
+                  entries.(i) <- Some (D.submit_optimistic d finals.(i)))
                 order;
               let block = Array.map Option.get entries in
               SP.Mutex.lock ch_m;
@@ -506,18 +513,22 @@ let run ?(metrics = false) ?(trace = false)
   let inject, block, merge =
     match (c.ordering, speculate) with
     | Direct, Some speculate ->
-        ( speculate,
-          (match c.driver with Max_rate _ -> opt_block | Open_loop _ -> c.batch),
-          fun () -> no_merge )
+        let block =
+          match c.driver with Max_rate _ -> opt_block | Open_loop _ -> c.batch
+        in
+        (speculate, block, fun () -> no_merge)
     | Direct, None -> (
         match c.driver with
-        | Max_rate _ when c.batch = 1 -> ((fun cs -> submit cs.(0)), 1, fun () -> no_merge)
+        | Max_rate _ when c.batch = 1 ->
+            ((fun cs -> submit cs.(0)), 1, fun () -> no_merge)
         | _ -> (submit_batch, c.batch, fun () -> no_merge))
     | Partition { partitions; replicas = n }, _ ->
         let module Net = Psmr_net.Network.Make (SP) in
         let module Part = Psmr_broadcast.Partition.Make (SP) in
         let net =
-          Net.create ~latency:(fun ~src:_ ~dst:_ -> Model.lan_latency) ~nodes:n ()
+          Net.create
+            ~latency:(fun ~src:_ ~dst:_ -> Model.lan_latency)
+            ~nodes:n ()
         in
         (* Replica 0 collects each event-loop turn's merged emissions and
            feeds the executor through the batched submit path. *)
@@ -539,7 +550,8 @@ let run ?(metrics = false) ?(trace = false)
                   | None -> ()
                   | Some { src; payload; _ } ->
                       (match payload with
-                      | Sub cmds -> Part.submit_batch ep ~footprint:Cmd.footprint cmds
+                      | Sub cmds ->
+                          Part.submit_batch ep ~footprint:Cmd.footprint cmds
                       | Wire w -> Part.handle ep ~src w
                       | Tick -> Part.tick ep);
                       if id = 0 && Psmr_util.Vec.length exec_buf > 0 then begin
@@ -577,7 +589,9 @@ let run ?(metrics = false) ?(trace = false)
             holes = Part.holes ep0;
             pending = Part.merge_pending ep0;
             views =
-              Array.fold_left (fun acc ep -> acc + Part.views_installed ep) 0 eps;
+              Array.fold_left
+                (fun acc ep -> acc + Part.views_installed ep)
+                0 eps;
           }
         in
         (inject, c.batch, merge)
@@ -631,7 +645,8 @@ let run ?(metrics = false) ?(trace = false)
     kops = float_of_int !completed /. c.duration /. 1000.0;
     executed = !completed;
     mean_population =
-      (if !pop_n = 0 then 0.0 else float_of_int !pop_sum /. float_of_int !pop_n);
+      (if !pop_n = 0 then 0.0
+       else float_of_int !pop_sum /. float_of_int !pop_n);
     offered_kops =
       (match c.driver with
       | Open_loop o -> Arrival.mean_rate o.shape /. 1000.0
@@ -639,7 +654,8 @@ let run ?(metrics = false) ?(trace = false)
     arrivals = !arrivals;
     shed = !shed;
     drop_rate =
-      (if !arrivals = 0 then 0.0 else float_of_int !shed /. float_of_int !arrivals);
+      (if !arrivals = 0 then 0.0
+       else float_of_int !shed /. float_of_int !arrivals);
     queue_peak = !q_peak;
     samples = Histogram.count lat;
     p50 = Histogram.quantile lat 0.50;
@@ -656,38 +672,6 @@ let run ?(metrics = false) ?(trace = false)
     metrics = registry;
     trace = trace_buf;
   }
-
-let to_string r =
-  let d = r.dispatch and m = r.merge in
-  String.concat " "
-    (List.map
-       (fun (k, v) -> Printf.sprintf "%s=%h" k v)
-       [
-         ("kops", r.kops);
-         ("mean_population", r.mean_population);
-         ("offered_kops", r.offered_kops);
-         ("drop_rate", r.drop_rate);
-         ("p50", r.p50);
-         ("p99", r.p99);
-         ("p999", r.p999);
-         ("mean_latency", r.mean_latency);
-         ("max_latency", r.max_latency);
-       ]
-    @ List.map
-        (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-        [
-          ("executed", r.executed); ("arrivals", r.arrivals); ("shed", r.shed);
-          ("queue_peak", r.queue_peak); ("samples", r.samples);
-          ("direct", d.direct); ("rendezvous", d.rendezvous);
-          ("repairs", d.repairs); ("revoked", d.revoked);
-          ("dropped", d.dropped); ("spec_execs", d.spec_execs);
-          ("rollbacks", d.rollbacks); ("redos", d.redos);
-          ("redo_depth", d.redo_depth); ("emitted", m.emitted);
-          ("crosses", m.crosses); ("holes", m.holes); ("pending", m.pending);
-          ("views", m.views); ("faults_injected", r.faults_injected);
-          ("crashed_workers", r.crashed_workers);
-          ("engine_events", r.engine_events);
-        ])
 
 let default_knee_mult = 8.0
 let default_knee_max_drop = 0.01

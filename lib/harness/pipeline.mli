@@ -193,10 +193,6 @@ val run :
     [batch] above the credit window, or an optimistic backend under
     [Partition]. *)
 
-val to_string : result -> string
-(** The virtual-time fields of a result, [%h]-rendered: equal strings iff
-    equal runs. *)
-
 val default_knee_mult : float
 val default_knee_max_drop : float
 

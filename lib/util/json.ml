@@ -217,7 +217,9 @@ let to_string v =
   and container indent op cl members =
     let key = function Some k -> quote k ^ ": " | None -> "" in
     let inline =
-      List.map (fun (k, x) -> Option.map (fun s -> key k ^ s) (scalar x)) members
+      List.map
+        (fun (k, x) -> Option.map (fun s -> key k ^ s) (scalar x))
+        members
     in
     let line =
       if List.for_all Option.is_some inline then

@@ -306,9 +306,10 @@ let quick_step ?(target = target "indexed") ?(rate = 50_000.0)
        ~ordering ~backend ~workers:4 ~duration ~warmup ())
 
 let test_load_deterministic () =
-  let s1 = quick_step () and s2 = quick_step () in
-  Alcotest.(check string) "byte-identical step export"
-    (Pipeline.to_string s1) (Pipeline.to_string s2)
+  (* Every field but the wall clock is a pure function of the config. *)
+  let virtual_time () = { (quick_step ()) with wall_seconds = 0.0 } in
+  Alcotest.(check bool) "identical results" true
+    (virtual_time () = virtual_time ())
 
 let test_load_completes () =
   let s = quick_step () in
