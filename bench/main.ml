@@ -21,8 +21,8 @@
    2-6) through the simulation harness.  Set PSMR_BENCH_FAST=1 for a
    subsampled smoke run; set PSMR_BENCH_SKIP_FIGURES=1 to run only the
    micro-benchmarks; set PSMR_BENCH_SMOKE=1 for a time-boxed everything
-   (short quotas, short simulation windows, no figures) — the @bench-smoke
-   alias. *)
+   (short quotas, short simulation windows, no figures) — the @bench-verify
+   alias, which also compares the report with bench_smoke.golden.json. *)
 
 open Bechamel
 open Toolkit

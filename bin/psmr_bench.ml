@@ -543,14 +543,15 @@ let open_loop_cmd =
       queue duration =
     let scenario = Psmr_traffic.Scenario.spec ~records ~theta scenario in
     let rates = List.map (fun k -> k *. 1000.0) rates in
-    let sweep =
-      Pipeline.sweep ~rates
-        (Pipeline.config
-           ~driver:
-             (* the arrival shape is set per rate by the sweep *)
-             (Pipeline.open_loop ~sessions ~queue_cap:queue scenario
-                (Psmr_traffic.Arrival.Poisson { rate = 0.0 }))
-           ~ordering ~backend ~workers ?duration ())
+    let steps =
+      List.map Pipeline.run
+        (Pipeline.sweep_steps ~rates
+           (Pipeline.config
+              ~driver:
+                (* the arrival shape is set per rate by the sweep *)
+                (Pipeline.open_loop ~sessions ~queue_cap:queue scenario
+                   (Psmr_traffic.Arrival.Poisson { rate = 0.0 }))
+              ~ordering ~backend ~workers ?duration ()))
     in
     Printf.printf "%s workers=%d %s: open-loop sweep\n"
       (Pipeline.target_label ordering backend)
@@ -564,8 +565,8 @@ let open_loop_cmd =
           s.offered_kops s.kops
           (100.0 *. s.drop_rate)
           (s.p50 *. 1e3) (s.p99 *. 1e3) (s.p999 *. 1e3) s.queue_peak)
-      sweep.steps;
-    match sweep.knee_kops with
+      steps;
+    match Pipeline.knee steps with
     | Some k -> Printf.printf "saturation knee: %.1f kops offered\n" k
     | None -> print_string "saturation knee: not reached in this sweep\n"
   in

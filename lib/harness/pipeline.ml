@@ -25,8 +25,6 @@ module Cmd = struct
       (fun (k, w) -> List.exists (fun (k', w') -> k = k' && (w || w')) b.fp)
       a.fp
 
-  let is_write c = List.exists snd c.fp
-
   let pp ppf c =
     Format.fprintf ppf "{%s}"
       (String.concat ";"
@@ -673,37 +671,24 @@ let run ?(metrics = false) ?(trace = false)
     trace = trace_buf;
   }
 
-let default_knee_mult = 8.0
-let default_knee_max_drop = 0.01
-
-let knee ?(mult = default_knee_mult) ?(max_drop = default_knee_max_drop) =
-  function
+(* The knee: the first step whose p99 exceeds 8x the idle baseline (the
+   first step's p99) or that sheds more than 1% of its arrivals. *)
+let knee = function
   | [] -> None
   | base :: _ as steps ->
       let baseline = Float.max base.p99 1e-9 in
       List.find_opt
-        (fun s -> s.p99 > mult *. baseline || s.drop_rate > max_drop)
+        (fun s -> s.p99 > 8.0 *. baseline || s.drop_rate > 0.01)
         steps
       |> Option.map (fun s -> s.offered_kops)
 
-let sweep_steps ?(shape_of_rate = fun rate -> Arrival.Poisson { rate }) ~rates
-    c =
-  if rates = [] then invalid_arg "Pipeline.sweep: no rates";
+let sweep_steps ~rates c =
+  if rates = [] then invalid_arg "Pipeline.sweep_steps: no rates";
   match c.driver with
-  | Max_rate _ -> invalid_arg "Pipeline.sweep: needs an open-loop driver"
+  | Max_rate _ -> invalid_arg "Pipeline.sweep_steps: needs open-loop arrivals"
   | Open_loop o ->
       List.map
         (fun rate ->
-          { c with driver = Open_loop { o with shape = shape_of_rate rate } })
+          let shape = Arrival.Poisson { rate } in
+          { c with driver = Open_loop { o with shape } })
         rates
-
-type sweep = { config : config; steps : result list; knee_kops : float option }
-
-let sweep ?shape_of_rate ?(knee_mult = default_knee_mult)
-    ?(knee_max_drop = default_knee_max_drop) ~rates c =
-  let steps = List.map run (sweep_steps ?shape_of_rate ~rates c) in
-  {
-    config = c;
-    steps;
-    knee_kops = knee ~mult:knee_mult ~max_drop:knee_max_drop steps;
-  }

@@ -28,7 +28,6 @@ module Cmd : sig
 
   val footprint : t -> (int * bool) list
   val conflict : t -> t -> bool
-  val is_write : t -> bool
   val pp : Format.formatter -> t -> unit
 end
 
@@ -193,30 +192,13 @@ val run :
     [batch] above the credit window, or an optimistic backend under
     [Partition]. *)
 
-val default_knee_mult : float
-val default_knee_max_drop : float
+val knee : result list -> float option
+(** Offered kops of the first step of a sweep whose p99 exceeds 8 times
+    the first step's p99 (the idle baseline) or whose drop rate exceeds
+    1%; [None] when the sweep never saturates. *)
 
-val knee : ?mult:float -> ?max_drop:float -> result list -> float option
-(** Offered kops of the first step whose p99 exceeds [mult] times the
-    first step's p99 (the idle baseline) or whose drop rate exceeds
-    [max_drop]; [None] when the sweep never saturates. *)
-
-val sweep_steps :
-  ?shape_of_rate:(float -> Psmr_traffic.Arrival.shape) ->
-  rates:float list ->
-  config ->
-  config list
-(** The open-loop configuration at each rate (ops/s): the driver's shape
-    replaced by [shape_of_rate rate] (default Poisson).  Raises
-    [Invalid_argument] for a max-rate driver or an empty rate list. *)
-
-type sweep = { config : config; steps : result list; knee_kops : float option }
-
-val sweep :
-  ?shape_of_rate:(float -> Psmr_traffic.Arrival.shape) ->
-  ?knee_mult:float ->
-  ?knee_max_drop:float ->
-  rates:float list ->
-  config ->
-  sweep
-(** {!run} at each of {!sweep_steps}, plus the {!knee} over the steps. *)
+val sweep_steps : rates:float list -> config -> config list
+(** An offered-load sweep: the open-loop configuration at each rate
+    (ops/s), its arrival shape replaced by a Poisson process at that
+    rate.  Raises [Invalid_argument] for a max-rate driver or an empty
+    rate list. *)
