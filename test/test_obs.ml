@@ -531,8 +531,8 @@ let test_bench_open_loop_schema () =
     (Printf.sprintf "part4 knee %.0f > coarse knee %.0f" part4 coarse)
     true (part4 > coarse)
 
-(* Memo-key coverage for the bench grid (the PR-8 lesson: a %.0f in a
-   memo key collapsed distinct fractional rates into one simulated point).
+(* Memo-key coverage for the bench grid: a %.0f in a memo key once
+   collapsed distinct fractional rates into one simulated point.
    [Pipeline.label] must keep every configuration dimension — each driver
    and each ordering included — and fractional rates distinct. *)
 let test_pipeline_label () =
