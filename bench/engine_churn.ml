@@ -91,14 +91,9 @@ let sync_storm ~name ~events =
 let replica ~smoke =
   let duration, warmup = if smoke then (0.02, 0.005) else (0.08, 0.02) in
   let r =
-    Psmr_harness.Pipeline.(
-      run
-        (config
-           ~driver:
-             (Max_rate
-                (Plain { Psmr_workload.Workload.write_pct = 15.0; cost = Light }))
-           ~backend:(Psmr_early.Registry.Cos Psmr_cos.Registry.Indexed)
-           ~workers:32 ~duration ~warmup ()))
+    Psmr_harness.Pipeline.standalone ~workers:32 ~duration ~warmup
+      { Psmr_workload.Workload.write_pct = 15.0; cost = Light }
+      (Psmr_early.Registry.Cos Psmr_cos.Registry.Indexed)
   in
   {
     name = "replica_indexed_w32";

@@ -339,16 +339,16 @@ let open_loop ~smoke =
         | Some t -> t
         | None -> invalid_arg ("open_loop: unknown target " ^ name)
       in
-      (* the arrival shape is set per rate by [sweep_steps] *)
-      let driver =
-        P.open_loop open_loop_scenario
-          (Psmr_traffic.Arrival.Poisson { rate = 0.0 })
-      in
-      let base =
-        P.config ~driver ~ordering ~backend ~workers:open_loop_workers
-          ~duration ~warmup ()
-      in
-      (name, P.sweep_steps ~rates base))
+      ( name,
+        List.map
+          (fun rate ->
+            P.config
+              ~driver:
+                (P.open_loop open_loop_scenario
+                   (Psmr_traffic.Arrival.Poisson { rate }))
+              ~ordering ~backend ~workers:open_loop_workers ~duration ~warmup
+              ())
+          rates ))
     [ "coarse"; "indexed"; "early"; "early_opt"; "part4" ]
 
 let grid ~smoke =

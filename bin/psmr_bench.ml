@@ -544,14 +544,15 @@ let open_loop_cmd =
     let scenario = Psmr_traffic.Scenario.spec ~records ~theta scenario in
     let rates = List.map (fun k -> k *. 1000.0) rates in
     let steps =
-      List.map Pipeline.run
-        (Pipeline.sweep_steps ~rates
-           (Pipeline.config
-              ~driver:
-                (* the arrival shape is set per rate by the sweep *)
-                (Pipeline.open_loop ~sessions ~queue_cap:queue scenario
-                   (Psmr_traffic.Arrival.Poisson { rate = 0.0 }))
-              ~ordering ~backend ~workers ?duration ()))
+      List.map
+        (fun rate ->
+          Pipeline.run
+            (Pipeline.config
+               ~driver:
+                 (Pipeline.open_loop ~sessions ~queue_cap:queue scenario
+                    (Psmr_traffic.Arrival.Poisson { rate }))
+               ~ordering ~backend ~workers ?duration ()))
+        rates
     in
     Printf.printf "%s workers=%d %s: open-loop sweep\n"
       (Pipeline.target_label ordering backend)

@@ -16,14 +16,6 @@
 
 open Psmr_workload
 
-(* One standalone point (§7.3): the max-rate feeder over the paper's list
-   workload straight into [backend]. *)
-let standalone ?max_size ?batch ?duration ?warmup ~workers spec backend =
-  (Pipeline.run
-     (Pipeline.config ~driver:(Max_rate (Plain spec)) ~backend ~workers
-        ?batch ?max_size ?duration ?warmup ()))
-    .kops
-
 let cos impl = Psmr_early.Registry.Cos impl
 
 (* --- lock granularity spectrum --- *)
@@ -40,8 +32,10 @@ let granularity ?(workers = 16)
         List.map
           (fun k ->
             ( float_of_int k,
-              standalone ~workers ?duration ?warmup { write_pct; cost }
-                (cos (Psmr_cos.Registry.Striped k)) ))
+              (Pipeline.standalone ~workers ?duration ?warmup
+                 { write_pct; cost }
+                 (cos (Psmr_cos.Registry.Striped k)))
+                .kops ))
           widths
       in
       { Psmr_util.Table.name = Workload.cost_label cost; points })
@@ -60,9 +54,10 @@ let graph_size ?(workers = 16) ?(write_pct = 5.0)
         List.map
           (fun max_size ->
             ( float_of_int max_size,
-              standalone ~max_size ~workers ?duration ?warmup
-                { write_pct; cost = Workload.Moderate }
-                (cos impl) ))
+              (Pipeline.standalone ~max_size ~workers ?duration ?warmup
+                 { write_pct; cost = Workload.Moderate }
+                 (cos impl))
+                .kops ))
           sizes
       in
       { Psmr_util.Table.name = Psmr_cos.Registry.to_string impl; points })
@@ -79,9 +74,10 @@ let realistic_conflicts ?(workers = 16)
         List.map
           (fun pct ->
             ( pct,
-              standalone ~workers ?duration ?warmup
-                { write_pct = pct; cost = Workload.Moderate }
-                (cos impl) ))
+              (Pipeline.standalone ~workers ?duration ?warmup
+                 { write_pct = pct; cost = Workload.Moderate }
+                 (cos impl))
+                .kops ))
           write_pcts
       in
       { Psmr_util.Table.name = Psmr_cos.Registry.to_string impl; points })
@@ -101,9 +97,10 @@ let indexed_vs_scan ?(write_pct = 0.0)
       List.map
         (fun w ->
           ( float_of_int w,
-            standalone ~batch ~workers:w ?duration ?warmup
-              { Workload.write_pct; cost = Workload.Light }
-              (cos impl) ))
+            (Pipeline.standalone ~batch ~workers:w ?duration ?warmup
+               { Workload.write_pct; cost = Workload.Light }
+               (cos impl))
+              .kops ))
         worker_counts
     in
     { Psmr_util.Table.name; points }
@@ -182,9 +179,10 @@ let early_vs_late ?(workers = 16)
         List.map
           (fun pct ->
             ( pct,
-              standalone ~workers ?duration ?warmup
-                { Workload.write_pct = pct; cost = Workload.Light }
-                backend ))
+              (Pipeline.standalone ~workers ?duration ?warmup
+                 { Workload.write_pct = pct; cost = Workload.Light }
+                 backend)
+                .kops ))
           write_pcts;
     }
   in

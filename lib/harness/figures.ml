@@ -76,13 +76,6 @@ let note opts fmt =
 let par_map opts f xs =
   Array.to_list (Psmr_sim.Grid_runner.map ~jobs:opts.jobs f (Array.of_list xs))
 
-(* One standalone point (§7.3): the max-rate feeder straight into a COS. *)
-let standalone opts ~impl ~workers spec =
-  Pipeline.run
-    (Pipeline.config ~driver:(Max_rate (Plain spec))
-       ~backend:(Psmr_early.Registry.Cos impl) ~workers
-       ~duration:opts.duration ~warmup:opts.warmup ())
-
 (* --- Figure 2: standalone, throughput vs workers, 0% writes --- *)
 
 let fig2 opts cost =
@@ -94,7 +87,10 @@ let fig2 opts cost =
   let kops =
     par_map opts
       (fun (impl, w) ->
-        let r = standalone opts ~impl ~workers:w { write_pct = 0.0; cost } in
+        let r =
+          Pipeline.standalone ~duration:opts.duration ~warmup:opts.warmup
+            ~workers:w { write_pct = 0.0; cost } (Psmr_early.Registry.Cos impl)
+        in
         note opts "fig2 %s %s w=%d: %.1f kops"
           (Workload.cost_label cost)
           (Psmr_cos.Registry.to_string impl)
@@ -126,7 +122,10 @@ let fig3 opts cost =
   let kops =
     par_map opts
       (fun (impl, workers, pct) ->
-        let r = standalone opts ~impl ~workers { write_pct = pct; cost } in
+        let r =
+          Pipeline.standalone ~duration:opts.duration ~warmup:opts.warmup
+            ~workers { write_pct = pct; cost } (Psmr_early.Registry.Cos impl)
+        in
         note opts "fig3 %s %s %g%%w: %.1f kops"
           (Workload.cost_label cost)
           (Psmr_cos.Registry.to_string impl)

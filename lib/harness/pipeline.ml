@@ -671,6 +671,11 @@ let run ?(metrics = false) ?(trace = false)
     trace = trace_buf;
   }
 
+let standalone ?batch ?max_size ?duration ?warmup ~workers spec backend =
+  run
+    (config ~driver:(Max_rate (Plain spec)) ~backend ~workers ?batch
+       ?max_size ?duration ?warmup ())
+
 (* The knee: the first step whose p99 exceeds 8x the idle baseline (the
    first step's p99) or that sheds more than 1% of its arrivals. *)
 let knee = function
@@ -681,14 +686,3 @@ let knee = function
         (fun s -> s.p99 > 8.0 *. baseline || s.drop_rate > 0.01)
         steps
       |> Option.map (fun s -> s.offered_kops)
-
-let sweep_steps ~rates c =
-  if rates = [] then invalid_arg "Pipeline.sweep_steps: no rates";
-  match c.driver with
-  | Max_rate _ -> invalid_arg "Pipeline.sweep_steps: needs open-loop arrivals"
-  | Open_loop o ->
-      List.map
-        (fun rate ->
-          let shape = Arrival.Poisson { rate } in
-          { c with driver = Open_loop { o with shape } })
-        rates

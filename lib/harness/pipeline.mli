@@ -192,13 +192,19 @@ val run :
     [batch] above the credit window, or an optimistic backend under
     [Partition]. *)
 
+val standalone :
+  ?batch:int ->
+  ?max_size:int ->
+  ?duration:float ->
+  ?warmup:float ->
+  workers:int ->
+  Psmr_workload.Workload.spec ->
+  Psmr_early.Registry.backend ->
+  result
+(** One standalone point (§7.3): [run] of the max-rate feeder over the
+    paper's list workload, directly into the backend. *)
+
 val knee : result list -> float option
 (** Offered kops of the first step of a sweep whose p99 exceeds 8 times
     the first step's p99 (the idle baseline) or whose drop rate exceeds
     1%; [None] when the sweep never saturates. *)
-
-val sweep_steps : rates:float list -> config -> config list
-(** An offered-load sweep: the open-loop configuration at each rate
-    (ops/s), its arrival shape replaced by a Poisson process at that
-    rate.  Raises [Invalid_argument] for a max-rate driver or an empty
-    rate list. *)
