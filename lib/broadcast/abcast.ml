@@ -4,9 +4,14 @@
 
     [n = 2f + 1] replicas; the leader of view [v] is replica [v mod n].
     Clients send requests to the leader (any replica forwards).  The leader
-    accumulates commands into batches (size- and time-triggered, as in
-    BFT-SMaRt), sequences each batch with a [Prepare], and commits it once
-    [f + 1] replicas (including itself) have acknowledged; commit decisions
+    accumulates commands into batches with group commit, as BFT-SMaRt's
+    leader does: the host calls {!flush} whenever its input queue runs dry,
+    and a leader with nothing awaiting its quorum then proposes the open
+    batch at once.  Under load a batch is usually in flight, so the open
+    batch fills until the leader is idle again, or until [batch_max] or
+    the [batch_delay] timer cuts it.  The leader sequences each batch with
+    a [Prepare], and commits it once [f + 1] replicas (including itself)
+    have acknowledged; commit decisions
     propagate piggybacked on later [Prepare]s and on heartbeat [Commit]s.
     Committed batches are handed to the delivery upcall in sequence order,
     giving the standard atomic-broadcast properties (validity, uniform
@@ -28,7 +33,8 @@
 
     Threading contract: this module owns no threads.  The host replica feeds
     every incoming protocol message to {!handle} and calls {!tick}
-    periodically from the same thread, so all state is single-threaded.
+    periodically and {!flush} when idle from the same thread, so all state
+    is single-threaded.
     Outgoing messages go through the [send] closure supplied at creation. *)
 
 open Psmr_platform
@@ -300,9 +306,9 @@ module Make (P : Platform_intf.S) = struct
      ordering charges one [Marshal] of work — request deserialization,
      batch serialization and the (n-1)-fold fan-out all scale per command
      on the leader's thread, and this charge is what makes the sequencer
-     the CPU bottleneck the partitioned grid measures against
-     (lib/harness/part_bench.ml).  Followers only pay the per-command
-     delivery [Hash] above. *)
+     the CPU bottleneck that partitioned ordering relieves
+     ([Partition] ordering in lib/harness/pipeline.ml).  Followers only
+     pay the per-command delivery [Hash] above. *)
   let enqueue_commands t cmds =
     if Psmr_util.Vec.length t.pending = 0 then t.batch_opened_at <- P.now ();
     Array.iter
@@ -596,6 +602,18 @@ module Make (P : Platform_intf.S) = struct
       maybe_send_do_view_change t (t.view + 1);
       maybe_become_leader t (t.view + 1)
     end
+
+  (* Group commit: a leader in a Normal view with nothing awaiting its
+     quorum proposes the open batch at once instead of letting it age to
+     [batch_delay].  [inbox_empty] is tested last because hosts pay for
+     it (a mailbox lock). *)
+  let flush t ~inbox_empty =
+    if
+      t.status = Normal && is_leader t
+      && t.committed = log_end t - 1
+      && Psmr_util.Vec.length t.pending > 0
+      && inbox_empty ()
+    then cut_batch t
 
   (* Local submission path, used by a replica to order commands it
      originates (e.g. client requests received directly). *)

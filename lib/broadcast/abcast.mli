@@ -5,13 +5,16 @@
 
     Provides the four standard properties (§2 of the paper): validity,
     uniform agreement, uniform integrity and uniform total order.  Features:
-    size- and time-triggered batching, commit on [f+1] acknowledgements,
-    heartbeats, view change on leader failure, periodic checkpoint reports
-    with quorum-stable log truncation, and gap recovery by log transfer.
+    group commit (an idle leader proposes the open batch at once; under
+    load batches close at [batch_max] or [batch_delay]), commit on [f+1]
+    acknowledgements, heartbeats, view change on leader failure, periodic
+    checkpoint reports with quorum-stable log truncation, and gap recovery
+    by log transfer.
 
     Threading contract: the module owns no threads; the host feeds incoming
-    messages to {!Make.handle} and calls {!Make.tick} periodically from one
-    thread per instance. *)
+    messages to {!Make.handle}, calls {!Make.tick} periodically and
+    {!Make.flush} when its input queue is empty, from one thread per
+    instance. *)
 
 open Psmr_platform
 
@@ -91,6 +94,15 @@ module Make (P : Platform_intf.S) : sig
   (** Periodic duties: batch timer and heartbeat (leader), failure detection
       (followers).  Call at a granularity finer than the configured
       delays. *)
+
+  val flush : 'c t -> inbox_empty:(unit -> bool) -> unit
+  (** Group commit: if this replica leads a Normal view, nothing it
+      proposed still awaits its quorum, commands are pending and
+      [inbox_empty ()] holds, cut the open batch now rather than at
+      [batch_delay].  [inbox_empty] is evaluated last, so a host can pass
+      a costly input-queue test.  Hosts call this after each message they
+      handle; a host that never calls it keeps pure size- and
+      timer-triggered batching. *)
 
   val submit : 'c t -> 'c array -> unit
   (** Order commands originated at this replica: enqueued if leader,

@@ -18,8 +18,9 @@
     across replicas instead of piling on replica 0.
 
     Threading contract: like [Abcast], this module owns no threads — the
-    host feeds {!Make.handle} and {!Make.tick} from one thread per
-    instance, and the [deliver] upcall fires from within those calls. *)
+    host feeds {!Make.handle}, {!Make.tick} and {!Make.flush} from one
+    thread per instance, and the [deliver] upcall fires from within those
+    calls. *)
 
 open Psmr_platform
 module Class_map = Psmr_early.Class_map
@@ -122,6 +123,8 @@ module Make (P : Platform_intf.S) = struct
     Ab.handle t.abs.(part) ~src msg
 
   let tick t = Array.iter Ab.tick t.abs
+  let flush t ~inbox_empty =
+    Array.iter (fun ab -> Ab.flush ab ~inbox_empty) t.abs
 
   (* --- introspection --- *)
 

@@ -67,6 +67,9 @@ module Make (P : Platform_intf.S) : sig
   val tick : 'c t -> unit
   (** Drive every partition's batch/heartbeat/election timers. *)
 
+  val flush : 'c t -> inbox_empty:(unit -> bool) -> unit
+  (** {!Abcast.Make.flush} on every partition's sequencer. *)
+
   (** {2 Introspection} *)
 
   val partitions : 'c t -> int

@@ -748,6 +748,12 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
                     | (Snapshot_request _ | Snapshot _), _ ->
                         r.handle_snapshot_msg ~src payload
                     | (Reply _ | Client_timeout _), _ -> ());
+                    (* Group commit: once the inbox runs dry, an idle
+                       leader proposes its open batch at once. *)
+                    let inbox_empty () = Net.backlog t.net r.id = 0 in
+                    (match r.ord with
+                    | Single_ab ab -> Ab.flush ab ~inbox_empty
+                    | Part_ab pab -> Part.flush pab ~inbox_empty);
                     r.flush_emitted ();
                     r.check_stall ();
                     loop ())

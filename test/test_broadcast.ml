@@ -6,7 +6,10 @@ open Psmr_broadcast
 
 (* A 3-replica harness on the simulator: replicas exchange protocol messages
    through the simulated network; each replica has an event-loop process and
-   a ticker process, mirroring the deployment wiring. *)
+   a ticker process, mirroring the deployment wiring.  With [group_commit]
+   the event loop also calls [Ab.flush] whenever its inbox is empty, as the
+   deployment does, and commands reach a replica through its inbox, as
+   client requests do (a direct [Ab.submit] would not wake the loop). *)
 module Harness = struct
   type t = {
     engine : Psmr_sim.Engine.t;
@@ -29,7 +32,7 @@ module Harness = struct
     }
 
   let make ?(config = config) ?(n = 3) ?(latency = 1e-4) ?(submit = fun _ -> [])
-      ?(faults = Psmr_fault.Schedule.empty) () =
+      ?(faults = Psmr_fault.Schedule.empty) ?(group_commit = false) () =
     let engine = Psmr_sim.Engine.create () in
     (* Armed around [run_until], so every send the protocol makes consults
        the fault plan; the empty schedule never fires and changes nothing. *)
@@ -60,6 +63,8 @@ module Harness = struct
                   (match payload with
                   | `Proto m -> Ab.handle ab ~src m
                   | `Tick -> Ab.tick ab);
+                  if group_commit then
+                    Ab.flush ab ~inbox_empty:(fun () -> Net.backlog net id = 0);
                   loop ()
             in
             loop ());
@@ -78,7 +83,11 @@ module Harness = struct
     List.iter
       (fun (at, replica, cmds) ->
         Psmr_sim.Engine.spawn engine ~delay:at (fun () ->
-            Ab.submit abs.(replica) (Array.of_list cmds)))
+            let cmds = Array.of_list cmds in
+            if group_commit then
+              Net.send net ~src:replica ~dst:replica
+                (`Proto (Abcast.Request cmds))
+            else Ab.submit abs.(replica) cmds))
       (submit ());
     {
       engine;
@@ -94,7 +103,8 @@ module Harness = struct
               Psmr_sim.Engine.run ~until:t engine));
     }
 
-  let delivered t id = List.rev !(t.deliveries.(id)) |> List.concat
+  let batches t id = List.rev !(t.deliveries.(id))
+  let delivered t id = List.concat (batches t id)
 end
 
 let test_total_order_basic () =
@@ -129,11 +139,37 @@ let test_batching_by_delay () =
   Alcotest.(check (list int)) "timer flushes partial batch" [ 9 ]
     (Harness.delivered h 1)
 
-let test_many_batches_total_order () =
+let test_group_commit_beats_timer () =
+  (* An idle leader proposes a lone command at once: with 50 us links it
+     is delivered at replica 1 four link delays later, long before the
+     1 ms batch timer would have cut it. *)
+  let h =
+    Harness.make ~group_commit:true ~latency:5e-5
+      ~submit:(fun () -> [ (0.001, 0, [ 9 ]) ])
+      ()
+  in
+  h.run_until 0.0013;
+  Alcotest.(check (list int)) "delivered before 1.3 ms" [ 9 ]
+    (Harness.delivered h 1)
+
+let test_group_commit_next_batch () =
+  (* Commands arriving while batch [1] awaits its quorum wait for it, then
+     go out together as the next batch. *)
+  let h =
+    Harness.make ~group_commit:true
+      ~submit:(fun () ->
+        [ (0.001, 0, [ 1 ]); (0.00102, 0, [ 2 ]); (0.00104, 0, [ 3 ]) ])
+      ()
+  in
+  h.run_until 0.05;
+  Alcotest.(check (list (list int)))
+    "second batch holds both" [ [ 1 ]; [ 2; 3 ] ] (Harness.batches h 1)
+
+let test_many_batches_total_order ~group_commit () =
   let submits =
     List.init 40 (fun i -> (0.001 +. (0.0007 *. float_of_int i), 0, [ i ]))
   in
-  let h = Harness.make ~submit:(fun () -> submits) () in
+  let h = Harness.make ~group_commit ~submit:(fun () -> submits) () in
   h.run_until 1.0;
   let d0 = Harness.delivered h 0 in
   Alcotest.(check int) "all delivered" 40 (List.length d0);
@@ -177,9 +213,9 @@ let test_uncommitted_survive_view_change () =
   Alcotest.(check (list int)) "prefix preserved at replica 2" [ 1; 2; 3 ]
     (Harness.delivered h 2)
 
-let test_delivery_after_view_change_continues () =
+let test_delivery_after_view_change_continues ~group_commit () =
   let h =
-    Harness.make
+    Harness.make ~group_commit
       ~submit:(fun () -> [ (0.001, 0, [ 1 ]); (0.5, 1, [ 2 ]); (0.6, 2, [ 3 ]) ])
       ()
   in
@@ -422,12 +458,24 @@ let () =
         [
           Alcotest.test_case "basic total order" `Quick test_total_order_basic;
           Alcotest.test_case "follower forwards" `Quick test_submit_via_follower_forwards;
-          Alcotest.test_case "many batches" `Quick test_many_batches_total_order;
+          Alcotest.test_case "many batches" `Quick
+            (test_many_batches_total_order ~group_commit:false);
         ] );
       ( "batching",
         [
           Alcotest.test_case "by size" `Quick test_batching_by_size;
           Alcotest.test_case "by delay" `Quick test_batching_by_delay;
+        ] );
+      ( "group-commit",
+        [
+          Alcotest.test_case "idle leader beats the timer" `Quick
+            test_group_commit_beats_timer;
+          Alcotest.test_case "busy leader fills the next batch" `Quick
+            test_group_commit_next_batch;
+          Alcotest.test_case "many batches" `Quick
+            (test_many_batches_total_order ~group_commit:true);
+          Alcotest.test_case "progress after view change" `Quick
+            (test_delivery_after_view_change_continues ~group_commit:true);
         ] );
       ( "fault-tolerance",
         [
@@ -437,7 +485,7 @@ let () =
           Alcotest.test_case "committed prefix survives" `Quick
             test_uncommitted_survive_view_change;
           Alcotest.test_case "progress after view change" `Quick
-            test_delivery_after_view_change_continues;
+            (test_delivery_after_view_change_continues ~group_commit:false);
         ] );
       ( "checkpointing",
         [

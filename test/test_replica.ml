@@ -193,6 +193,38 @@ let test_sim_deployment () =
     (List.for_all (fun r -> r = `Ok) !responses);
   Alcotest.(check bool) "virtual time sane" true (Engine.now engine <= 5.0)
 
+let test_sim_group_commit () =
+  (* One client, a 10 ms batch timer and 60 us links: the idle leader
+     proposes the lone command at once (group commit), so the call takes a
+     few link delays, not the batch timer. *)
+  let open Psmr_sim in
+  let engine = Engine.create () in
+  let (module SP) = Sim_platform.make engine Costs.default in
+  let module SMR = Psmr_replica.Replica.Make (SP) (Psmr_app.Kv_store) in
+  let cfg =
+    {
+      (SMR.Deployment.default_config ~make_service:(fun _ ->
+           Psmr_app.Kv_store.create ~capacity:16)
+         ()) with
+      abcast = { fast_abcast with batch_delay = 10e-3 };
+      latency = (fun ~src:_ ~dst:_ -> 60e-6);
+    }
+  in
+  let d = SMR.Deployment.create cfg in
+  let elapsed = ref infinity in
+  Engine.spawn engine (fun () ->
+      SMR.Deployment.start d;
+      SP.spawn (fun () ->
+          let c = SMR.Deployment.client d 0 in
+          let t0 = SP.now () in
+          match SMR.call c (Put (1, 1)) with
+          | Some Stored -> elapsed := SP.now () -. t0
+          | Some _ | None -> ()));
+  Engine.run ~until:1.0 engine;
+  Alcotest.(check bool)
+    (Printf.sprintf "call took %.3f ms < 1 ms" (!elapsed *. 1e3))
+    true (!elapsed < 1e-3)
+
 let test_state_transfer_after_truncation () =
   (* Partition replica 2 away from its peers' traffic while the log is being
      truncated aggressively; after healing, it can no longer catch up from
@@ -229,13 +261,15 @@ let test_state_transfer_after_truncation () =
       SP.spawn (fun () ->
           let c = SMR.Deployment.client d 0 in
           for i = 0 to 199 do
+            (* Cut everything into replica 2 before call 50, for 1 s: the
+               cut tracks the client's progress, not the calls' latency. *)
+            if i = 50 then begin
+              SMR.Net.set_link_filter net (fun ~src:_ ~dst -> dst <> 2);
+              SP.after 1.0 (fun () -> SMR.Net.heal net)
+            end;
             ignore (SMR.call c (Put (i mod 16, i)) : _ option)
           done;
           client_done := true));
-  (* Cut everything into replica 2 between t=0.2 and t=1.2. *)
-  Engine.spawn engine ~delay:0.2 (fun () ->
-      SMR.Net.set_link_filter net (fun ~src:_ ~dst -> dst <> 2));
-  Engine.spawn engine ~delay:1.2 (fun () -> SMR.Net.heal net);
   Engine.run ~until:8.0 engine;
   Alcotest.(check bool) "client finished" true !client_done;
   let dump = function
@@ -334,6 +368,8 @@ let () =
         [
           Alcotest.test_case "full deployment on sim" `Quick test_sim_deployment;
           Alcotest.test_case "deterministic" `Quick test_sim_deployment_deterministic;
+          Alcotest.test_case "group commit beats the batch timer" `Quick
+            test_sim_group_commit;
           Alcotest.test_case "state transfer after truncation" `Quick
             test_state_transfer_after_truncation;
         ] );
