@@ -288,41 +288,100 @@ let test_state_transfer_after_truncation () =
   Alcotest.(check bool) "snapshot skipped deliveries" true
     (SMR.Deployment.replica_delivered d 2 < SMR.Deployment.replica_delivered d 0)
 
-let test_sim_deployment_deterministic () =
+(* Golden event-order digests of one seeded simulated deployment per
+   execution mode: an MD5 over the (time, tag) pair of every executed
+   event (hex floats, so the digest sees exact bits), plus the final clock
+   and event count -- the fold test_sim's [trace_digest] pins the pipeline
+   harness with.  Two clients issue batches of three (a put, a get and a
+   four-slot scan, so partitioned runs cross partitions) over overlapping
+   keys.  Any change to the replica, the ordering stack or an executor
+   that reorders, adds or drops an event breaks these. *)
+let sim_deployment_digest mode =
   let open Psmr_sim in
-  let run () =
-    let engine = Engine.create () in
-    let (module SP) = Sim_platform.make engine Costs.default in
-    let module SMR = Psmr_replica.Replica.Make (SP) (Psmr_app.Kv_store) in
-    let finished = ref 0.0 in
-    let cfg =
-      {
-        (SMR.Deployment.default_config ~make_service:(fun _ ->
-             Psmr_app.Kv_store.create ~capacity:16)
-           ()) with
-        clients = 2;
-        mode = Parallel { impl = Psmr_cos.Registry.Coarse; workers = 2 };
-        abcast = fast_abcast;
-        latency = (fun ~src:_ ~dst:_ -> 80e-6);
-      }
-    in
-    let d = SMR.Deployment.create cfg in
-    Engine.spawn engine (fun () ->
-        SMR.Deployment.start d;
-        for ci = 0 to 1 do
-          SP.spawn (fun () ->
-              let c = SMR.Deployment.client d ci in
-              for i = 0 to 9 do
-                ignore (SMR.call c (Put (i, i)) : _ option)
-              done;
-              finished := SP.now ())
-        done);
-    Engine.run ~until:5.0 engine;
-    !finished
+  let engine = Engine.create () in
+  let buf = Buffer.create (1 lsl 16) in
+  Engine.set_tracer engine
+    (Some
+       (fun time tag ->
+         Buffer.add_string buf (Printf.sprintf "%h %d\n" time tag)));
+  let (module SP) = Sim_platform.make engine Costs.default in
+  let module SMR = Psmr_replica.Replica.Make (SP) (Psmr_app.Kv_store) in
+  let answered = ref 0 in
+  let cfg =
+    {
+      (SMR.Deployment.default_config ~make_service:(fun _ ->
+           Psmr_app.Kv_store.create ~capacity:16)
+         ()) with
+      clients = 2;
+      mode;
+      abcast = fast_abcast;
+      latency = (fun ~src:_ ~dst:_ -> 80e-6);
+      opt_execute = Some kv_opt_execute;
+    }
   in
-  let a = run () and b = run () in
-  Alcotest.(check bool) "finished" true (a > 0.0);
-  Alcotest.(check (float 0.0)) "bit-identical completion time" a b
+  let d = SMR.Deployment.create cfg in
+  Engine.spawn engine (fun () ->
+      SMR.Deployment.start d;
+      for ci = 0 to 1 do
+        SP.spawn (fun () ->
+            let c = SMR.Deployment.client d ci in
+            for i = 0 to 5 do
+              let k = (3 * i) + ci in
+              match
+                SMR.call_batch c
+                  [|
+                    Put (k mod 16, i); Get ((k + 5) mod 16); Scan (k mod 12, 4);
+                  |]
+              with
+              | Some _ -> incr answered
+              | None -> ()
+            done)
+      done);
+  Engine.run ~until:0.5 engine;
+  Alcotest.(check int) "every batch answered" 12 !answered;
+  Printf.sprintf "%s clock=%h events=%d"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+    (Engine.now engine) (Engine.events_executed engine)
+
+(* Captured before the early executors were folded into one; required
+   to hold unchanged through refactors of the replica layer. *)
+let deployment_golden =
+  let open Psmr_replica.Replica in
+  let early = Parallel_early { workers = 3; classes = None } in
+  [
+    ( "sequential",
+      Sequential,
+      "02dff4e8073590bfa21efbd508de980b clock=0x1p-1 events=31318" );
+    ( "lockfree",
+      Parallel { impl = Psmr_cos.Registry.Lockfree; workers = 3 },
+      "9ad2cac9b55729b41d58ba3f3d0ea799 clock=0x1p-1 events=35984" );
+    ( "early",
+      early,
+      "793cb9a0df24af1609ba1e35ea177351 clock=0x1p-1 events=34958" );
+    ( "early-opt",
+      Parallel_early_opt { workers = 3; classes = None },
+      "186156868e2cab65ae39ea2ffcaea0ac clock=0x1p-1 events=36400" );
+    ( "part2-indexed",
+      Partitioned
+        {
+          partitions = 2;
+          inner = Parallel { impl = Psmr_cos.Registry.Indexed; workers = 3 };
+        },
+      "9d40f5052e56ce4663c5d19c2631d16f clock=0x1p-1 events=45092" );
+    ( "part2-early",
+      Partitioned { partitions = 2; inner = early },
+      "480c5ee987b4b991c40ea83747354020 clock=0x1p-1 events=39675" );
+  ]
+
+let deployment_golden_tests =
+  List.map
+    (fun (name, mode, expected) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let digest = sim_deployment_digest mode in
+          Alcotest.(check string) "bit-identical rerun" digest
+            (sim_deployment_digest mode);
+          Alcotest.(check string) "golden event-order digest" expected digest))
+    deployment_golden
 
 let () =
   let m_seq = Psmr_replica.Replica.Sequential in
@@ -367,10 +426,10 @@ let () =
       ( "simulated",
         [
           Alcotest.test_case "full deployment on sim" `Quick test_sim_deployment;
-          Alcotest.test_case "deterministic" `Quick test_sim_deployment_deterministic;
           Alcotest.test_case "group commit beats the batch timer" `Quick
             test_sim_group_commit;
           Alcotest.test_case "state transfer after truncation" `Quick
             test_state_transfer_after_truncation;
         ] );
+      ("deployment-golden", deployment_golden_tests);
     ]
