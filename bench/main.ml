@@ -41,7 +41,7 @@ end
    the steady-state per-command cost of the structure itself. *)
 let cos_cycle impl ~population ~writes =
   let (module S : Psmr_cos.Cos_intf.S with type cmd = bool) =
-    Psmr_cos.Registry.instantiate_keyed impl (module RP) (module Rw_cmd)
+    Psmr_cos.Registry.instantiate impl (module RP) (module Rw_cmd)
   in
   let t = S.create ~max_size:150 () in
   let rng = Psmr_util.Rng.create ~seed:1L in

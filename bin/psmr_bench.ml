@@ -170,7 +170,7 @@ let impl_arg =
     & opt impl_conv Psmr_cos.Registry.Lockfree
     & info [ "impl" ] ~docv:"IMPL"
         ~doc:
-          "COS implementation: coarse, fine, lockfree, fifo, striped[-K] or \
+          "COS implementation: coarse, fine, lockfree, striped[-K] or \
            indexed.")
 
 let workers_arg =
@@ -330,7 +330,8 @@ let backend_arg =
     & info [ "impl" ] ~docv:"BACKEND"
         ~doc:
           "Execution backend: early, early-opt, early[-opt]-CLASSES, or any \
-           COS implementation name (coarse, lockfree, indexed, ...).")
+           COS implementation name (coarse, lockfree, indexed, ...); letter \
+           case is ignored.")
 
 let keys_arg =
   Arg.(

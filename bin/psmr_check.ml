@@ -120,7 +120,7 @@ let impl_arg =
     & info [ "impl" ] ~docv:"IMPL"
         ~doc:
           "Implementation to check: coarse, fine, lockfree, striped[-K], \
-           fifo, indexed, early[-K], early-opt[-K], part[-P] (the \
+           indexed, early[-K], early-opt[-K], part[-P] (the \
            partitioned-merge divergence scenarios; --workers counts \
            replica merges), or a planted-bug variant (broken-wtg-start, \
            broken-lost-signal, broken-no-sentinel, broken-early-norepair, \

@@ -126,7 +126,7 @@ let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
   let (module P) = Check_platform.make ctx in
   let (module S : Cos_intf.S with type cmd = Cmd.t) =
     match sc.target with
-    | Impl impl -> Registry.instantiate_keyed impl (module P) (module Cmd)
+    | Impl impl -> Registry.instantiate impl (module P) (module Cmd)
     | Custom (_, (module F)) -> (module F (P) (Cmd))
   in
   let n = Array.length sc.writes in

@@ -54,7 +54,7 @@ module type S = sig
 
   val name : string
   (** Implementation name: "coarse-grained", "fine-grained", "lock-free",
-      "fifo", "striped-<k>" or "indexed". *)
+      "striped-<k>" or "indexed". *)
 
   val create : ?max_size:int -> ?worker_bound:int -> unit -> t
   (** [create ()] returns an empty structure holding at most [max_size]

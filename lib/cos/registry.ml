@@ -7,24 +7,21 @@ type impl =
   | Coarse
   | Fine
   | Lockfree
-  | Fifo
   | Striped of int  (** segment capacity (nodes per lock) *)
   | Indexed
 
 let paper = [ Coarse; Fine; Lockfree ]
-(** The paper's three algorithms (without the sequential baseline and the
-    two extensions). *)
+(** The paper's three algorithms (without the two extensions). *)
 
-let all = [ Coarse; Fine; Lockfree; Fifo; Striped 16; Indexed ]
+let all = [ Coarse; Fine; Lockfree; Striped 16; Indexed ]
 (** Every implementation the registry can dispatch to: the paper's three,
-    the sequential baseline, the granular-locking extension (at its default
-    capacity) and the key-indexed extension. *)
+    the granular-locking extension (at its default capacity) and the
+    key-indexed extension. *)
 
 let to_string = function
   | Coarse -> "coarse-grained"
   | Fine -> "fine-grained"
   | Lockfree -> "lock-free"
-  | Fifo -> "fifo"
   | Striped k -> Printf.sprintf "striped-%d" k
   | Indexed -> "indexed"
 
@@ -33,7 +30,6 @@ let of_string s =
   | "coarse" | "coarse-grained" -> Some Coarse
   | "fine" | "fine-grained" -> Some Fine
   | "lockfree" | "lock-free" -> Some Lockfree
-  | "fifo" | "sequential" -> Some Fifo
   | "striped" -> Some (Striped 16)
   | "indexed" -> Some Indexed
   | s when String.length s > 8 && String.sub s 0 8 = "striped-" -> (
@@ -43,27 +39,15 @@ let of_string s =
   | _ -> None
 
 let instantiate (type c) impl (module P : Platform_intf.S)
-    (module C : Cos_intf.COMMAND with type t = c) :
+    (module C : Cos_intf.KEYED_COMMAND with type t = c) :
     (module Cos_intf.S with type cmd = c) =
   match impl with
   | Coarse -> (module Coarse.Make (P) (C))
   | Fine -> (module Fine.Make (P) (C))
   | Lockfree -> (module Lockfree.Make (P) (C))
-  | Fifo -> (module Fifo.Make (P) (C))
   | Striped k ->
       let module Size = struct
         let segment_capacity = k
       end in
       (module Striped.Make_sized (Size) (P) (C))
-  | Indexed ->
-      invalid_arg
-        "Registry.instantiate: the indexed COS needs key footprints; use \
-         instantiate_keyed with a KEYED_COMMAND"
-
-let instantiate_keyed (type c) impl (module P : Platform_intf.S)
-    (module C : Cos_intf.KEYED_COMMAND with type t = c) :
-    (module Cos_intf.S with type cmd = c) =
-  match impl with
   | Indexed -> (module Indexed.Make (P) (C))
-  | Coarse | Fine | Lockfree | Fifo | Striped _ ->
-      instantiate impl (module P) (module C)

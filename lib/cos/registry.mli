@@ -8,7 +8,6 @@ type impl =
   | Coarse  (** Algorithm 2: one monitor for the whole graph *)
   | Fine  (** Algorithms 3-4: hand-over-hand per-node locks *)
   | Lockfree  (** Algorithms 5-7: nonblocking graph + semaphore layer *)
-  | Fifo  (** sequential baseline *)
   | Striped of int  (** granular locks: segment capacity per lock *)
   | Indexed  (** lock-free graph with key-indexed O(|footprint|) insert *)
 
@@ -17,29 +16,21 @@ val paper : impl list
     reproduced figures compare. *)
 
 val all : impl list
-(** Every dispatchable implementation: {!paper} plus the sequential
-    baseline, the striped extension (default capacity) and the key-indexed
-    extension. *)
+(** Every dispatchable implementation: {!paper} plus the striped extension
+    (default capacity) and the key-indexed extension. *)
 
 val to_string : impl -> string
 
 val of_string : string -> impl option
 (** Accepts "coarse[-grained]", "fine[-grained]", "lockfree"/"lock-free",
-    "fifo"/"sequential", "striped", "striped-<k>" and "indexed".
+    "striped", "striped-<k>" and "indexed", in any letter case.
     Round-trips with {!to_string}. *)
 
 val instantiate :
   impl ->
   (module Platform_intf.S) ->
-  (module Cos_intf.COMMAND with type t = 'c) ->
-  (module Cos_intf.S with type cmd = 'c)
-(** Raises [Invalid_argument] on {!Indexed}, which needs footprints — use
-    {!instantiate_keyed}. *)
-
-val instantiate_keyed :
-  impl ->
-  (module Platform_intf.S) ->
   (module Cos_intf.KEYED_COMMAND with type t = 'c) ->
   (module Cos_intf.S with type cmd = 'c)
-(** Like {!instantiate} but for commands with key footprints; dispatches
-    every implementation, including {!Indexed}. *)
+(** The named implementation for the given platform and keyed command
+    type.  Only {!Indexed} reads the key footprints; the others decide
+    conflicts through [conflict]. *)

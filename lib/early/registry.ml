@@ -1,5 +1,3 @@
-open Psmr_platform
-
 type backend =
   | Cos of Psmr_cos.Registry.impl
   | Early of Early_intf.config
@@ -20,10 +18,13 @@ let to_string = function
       | Some k -> Printf.sprintf "%s-%d" base k)
 
 (* "early", "early-opt" (also "early_opt"), optionally suffixed with a
-   class count ("early-4", "early-opt-4"); anything else is tried against
-   the COS registry, so every existing impl name dispatches here too. *)
+   class count ("early-4", "early-opt-4"), in any letter case; anything
+   else is tried against the COS registry, so every existing impl name
+   dispatches here too. *)
 let of_string s =
-  let s' = String.map (fun c -> if c = '_' then '-' else c) s in
+  let s' =
+    String.map (fun c -> if c = '_' then '-' else c) (String.lowercase_ascii s)
+  in
   let parse_classes rest =
     match int_of_string_opt rest with
     | Some k when k > 0 -> Some (Some k)
@@ -60,77 +61,3 @@ let is_optimistic = function
   | Cos _ -> false
 
 let classes = function Early { classes; _ } -> classes | Cos _ -> None
-
-let instantiate (type c) backend (module P : Platform_intf.S)
-    (module C : Psmr_cos.Cos_intf.KEYED_COMMAND with type t = c) :
-    (module Psmr_sched.Sched_intf.BACKEND with type cmd = c) =
-  match backend with
-  | Cos impl ->
-      let (module Cos) =
-        Psmr_cos.Registry.instantiate_keyed impl (module P) (module C)
-      in
-      (module Psmr_sched.Scheduler.Make (P) (Cos))
-  | Early cfg ->
-      let module D = Dispatch.Make (P) (C) in
-      (module struct
-        type cmd = c
-        type t = D.t
-
-        let name = to_string backend
-
-        let start ?max_size ~workers ~execute () =
-          D.start_full ?max_size ?classes:cfg.classes ~workers ~execute ()
-
-        let submit = D.submit
-        let submit_batch = D.submit_batch
-        let submitted = D.submitted
-        let executed = D.executed
-        let in_flight = D.in_flight
-        let crashed_workers = D.crashed_workers
-        let drain = D.drain
-        let shutdown = D.shutdown
-      end)
-
-let instantiate_opt (type c) backend (module P : Platform_intf.S)
-    (module C : Psmr_cos.Cos_intf.KEYED_COMMAND with type t = c) :
-    (module Psmr_sched.Sched_intf.OPT_BACKEND with type cmd = c) =
-  match backend with
-  | Cos impl ->
-      invalid_arg
-        (Printf.sprintf
-           "Registry.instantiate_opt: %s is not an optimistic backend"
-           (Psmr_cos.Registry.to_string impl))
-  | Early cfg ->
-      let module D = Dispatch.Make (P) (C) in
-      (module struct
-        type cmd = c
-        type t = D.t
-        type spec = D.spec
-
-        let name = to_string backend
-
-        let start ?max_size ~workers ~execute () =
-          D.start_full ?max_size ?classes:cfg.classes ~workers ~execute ()
-
-        let start_opt ?max_size ?speculate ?on_commit ~workers ~execute () =
-          D.start_full ?max_size ?classes:cfg.classes ?speculate ?on_commit
-            ~workers ~execute ()
-
-        let submit = D.submit
-        let submit_batch = D.submit_batch
-        let submit_optimistic = D.submit_optimistic
-        let confirm = D.confirm
-        let submitted = D.submitted
-        let executed = D.executed
-        let in_flight = D.in_flight
-        let crashed_workers = D.crashed_workers
-        let drain = D.drain
-        let shutdown = D.shutdown
-        let repairs = D.repair_count
-        let revoked = D.revoked_count
-        let dropped = D.dropped
-        let spec_execs = D.spec_exec_count
-        let rollbacks = D.rollback_count
-        let redos = D.redo_count
-        let redo_depth = D.redo_depth_max
-      end)

@@ -1,10 +1,11 @@
-(** Value-level dispatch over execution backends — the scheduling-family
-    analogue of {!Psmr_cos.Registry}: every COS implementation (behind the
-    generic scheduler runtime) plus the early-scheduling dispatcher, all
-    as {!Psmr_sched.Sched_intf.BACKEND}s, selected by name from the CLIs
-    and the benchmark harness. *)
-
-open Psmr_platform
+(** Names of the execution backends — the scheduling-family analogue of
+    {!Psmr_cos.Registry}: every COS implementation (behind the generic
+    scheduler runtime) plus the early-scheduling dispatcher, selected by
+    name from the CLIs and the benchmark harness.  The registry holds names
+    only: each caller builds its backend directly, through
+    {!Psmr_sched.Scheduler.Make} over {!Psmr_cos.Registry.instantiate} or
+    through {!Dispatch.Make}, because the two families are fed differently
+    (the optimistic protocol exists only for the dispatcher). *)
 
 type backend =
   | Cos of Psmr_cos.Registry.impl
@@ -22,30 +23,10 @@ val to_string : backend -> string
 val of_string : string -> backend option
 (** Accepts every {!Psmr_cos.Registry.of_string} name, plus ["early"],
     ["early-opt"]/["early_opt"] and class-count forms ["early-<k>"] /
-    ["early-opt-<k>"].  Round-trips with {!to_string}. *)
+    ["early-opt-<k>"], in any letter case.  Round-trips with
+    {!to_string}. *)
 
 val is_optimistic : backend -> bool
 (** Whether a harness should drive the optimistic delivery protocol. *)
 
 val classes : backend -> int option
-
-val instantiate :
-  backend ->
-  (module Platform_intf.S) ->
-  (module Psmr_cos.Cos_intf.KEYED_COMMAND with type t = 'c) ->
-  (module Psmr_sched.Sched_intf.BACKEND with type cmd = 'c)
-(** First-class backend for the given platform and command type.  The
-    [Early] case bakes the configured class count into [start]; note the
-    generic [BACKEND] surface is conservative-only — harnesses that drive
-    the optimistic protocol use {!instantiate_opt} (or {!Dispatch.Make}
-    directly). *)
-
-val instantiate_opt :
-  backend ->
-  (module Platform_intf.S) ->
-  (module Psmr_cos.Cos_intf.KEYED_COMMAND with type t = 'c) ->
-  (module Psmr_sched.Sched_intf.OPT_BACKEND with type cmd = 'c)
-(** The optimistic-protocol surface of an [Early] backend:
-    [submit_optimistic]/[confirm] plus the speculation hooks and repair
-    statistics.  Raises [Invalid_argument] for [Cos] backends, which have
-    no optimistic delivery path. *)

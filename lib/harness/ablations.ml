@@ -138,7 +138,7 @@ let insert_cost_vs_population
             let engine = Psmr_sim.Engine.create () in
             let (module SP) = Psmr_sim.Sim_platform.make engine Model.sim_costs in
             let (module Cos : Psmr_cos.Cos_intf.S with type cmd = bool) =
-              Psmr_cos.Registry.instantiate_keyed impl (module SP)
+              Psmr_cos.Registry.instantiate impl (module SP)
                 (module Rw_cmd)
             in
             let rng = Psmr_util.Rng.create ~seed in

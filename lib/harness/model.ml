@@ -101,7 +101,7 @@ let fig3_best_workers cost (impl : Psmr_cos.Registry.impl) =
   | Light, Indexed -> 2
   | Moderate, Indexed -> 16
   | Heavy, Indexed -> 64
-  | _, (Fifo | Striped _) -> 1
+  | _, Striped _ -> 1
 
 let fig5_best_workers cost (impl : Psmr_cos.Registry.impl) =
   match (cost, impl) with
@@ -117,4 +117,4 @@ let fig5_best_workers cost (impl : Psmr_cos.Registry.impl) =
   | Light, Indexed -> 8
   | Moderate, Indexed -> 32
   | Heavy, Indexed -> 64
-  | _, (Fifo | Striped _) -> 1
+  | _, Striped _ -> 1

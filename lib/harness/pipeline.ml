@@ -418,16 +418,17 @@ let run ?(metrics = false) ?(trace = false)
   in
   let submit, submit_batch, speculate, in_flight, crashed, dispatch =
     match c.backend with
-    | Registry.Cos _ ->
-        let (module Bk) =
-          Registry.instantiate c.backend (module SP) (module Cmd)
+    | Registry.Cos impl ->
+        let (module Cos) =
+          Psmr_cos.Registry.instantiate impl (module SP) (module Cmd)
         in
-        let b = Bk.start ?max_size ~workers:c.workers ~execute () in
-        ( Bk.submit b,
-          Bk.submit_batch b,
+        let module Sched = Psmr_sched.Scheduler.Make (SP) (Cos) in
+        let b = Sched.start ?max_size ~workers:c.workers ~execute () in
+        ( Sched.submit b,
+          Sched.submit_batch b,
           None,
-          (fun () -> Bk.in_flight b),
-          (fun () -> Bk.crashed_workers b),
+          (fun () -> Sched.in_flight b),
+          (fun () -> Sched.crashed_workers b),
           fun () -> no_dispatch )
     | Registry.Early cfg ->
         let module D = Psmr_early.Dispatch.Make (SP) (Cmd) in

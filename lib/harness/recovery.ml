@@ -60,7 +60,7 @@ module Make (Service : Psmr_app.Service_intf.S) = struct
     in
     let (module Cos : Psmr_cos.Cos_intf.S with type cmd = int * Service.command)
         =
-      Psmr_cos.Registry.instantiate_keyed impl (module SP) (module C)
+      Psmr_cos.Registry.instantiate impl (module SP) (module C)
     in
     let module Sched = Psmr_sched.Scheduler.Make (SP) (Cos) in
     let cpu = Psmr_sim.Sim_sync.Cpu.create ~cores:Model.cores in

@@ -6,10 +6,10 @@
     - the wire protocol: broadcast messages, client requests, replies and
       the self-addressed timer ticks that keep each replica single-threaded;
     - replicas: an event loop feeding the {!Psmr_broadcast.Abcast} protocol,
-      an {e executor} that runs delivered commands — either sequentially
-      (classical SMR) or through a COS scheduler with worker threads
-      (parallel SMR) — and an at-most-once table replaying cached replies
-      to retried requests;
+      an {e executor} that runs delivered commands — sequentially
+      (classical SMR), through a COS scheduler with worker threads
+      (parallel SMR) or through the early class-map dispatcher — and an
+      at-most-once table replaying cached replies to retried requests;
     - closed-loop clients that submit one command at a time, time out and
       fail over to another replica (leader crashes included);
     - {!Deployment}: wiring n replicas and m clients over a
@@ -25,11 +25,9 @@ type mode =
   | Sequential  (** classical SMR: execute in delivery order, one at a time *)
   | Parallel of { impl : Psmr_cos.Registry.impl; workers : int }
       (** scheduler + COS + worker pool (Algorithm 1) *)
-  | Parallel_early of { workers : int; classes : int option }
-      (** class-map dispatcher (conservative early scheduling);
-          [classes = None] means one class per worker *)
-  | Parallel_early_opt of { workers : int; classes : int option }
-      (** class-map dispatcher driven through the optimistic protocol
+  | Parallel_early of { workers : int; classes : int option; optimistic : bool }
+      (** class-map dispatcher; [classes = None] means one class per
+          worker.  [optimistic] drives it through the optimistic protocol
           with execution-time speculation: commands execute as soon as
           they are dispatched and replies are withheld until the commit
           (requires [Deployment.config.opt_execute]) *)
@@ -42,15 +40,10 @@ let rec mode_label = function
   | Sequential -> "sequential SMR"
   | Parallel { impl; workers } ->
       Printf.sprintf "%s, %d workers" (Psmr_cos.Registry.to_string impl) workers
-  | Parallel_early { workers; classes } ->
+  | Parallel_early { workers; classes; optimistic } ->
       Printf.sprintf "%s, %d workers"
         (Psmr_early.Registry.to_string
-           (Psmr_early.Registry.Early { classes; optimistic = false }))
-        workers
-  | Parallel_early_opt { workers; classes } ->
-      Printf.sprintf "%s, %d workers"
-        (Psmr_early.Registry.to_string
-           (Psmr_early.Registry.Early { classes; optimistic = true }))
+           (Psmr_early.Registry.Early { classes; optimistic }))
         workers
   | Partitioned { partitions; inner } ->
       Printf.sprintf "partitioned x%d (%s)" partitions (mode_label inner)
@@ -123,19 +116,15 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
     | None -> None
     | Some inner -> Hashtbl.find_opt inner rid
 
-  (* The per-replica execute-and-reply path shared by both executors:
-     deterministic service execution, reply to the client, and the
-     at-most-once cache update. *)
-  let make_apply ~replica_id ~service ~net ~cache ~cache_mutex =
-    let apply (e : envelope) =
-      let resp = S.execute service e.cmd in
-      P.Mutex.lock cache_mutex;
-      cache_store cache e.client e.rid resp;
-      P.Mutex.unlock cache_mutex;
-      Net.send net ~src:replica_id ~dst:e.client
-        (Reply { rid = e.rid; resp; replica = replica_id })
-    in
-    apply
+  (* Reply to the client and record the response in the at-most-once
+     cache: the last step of every executed command, whichever executor
+     ran it. *)
+  let make_reply ~replica_id ~net ~cache ~cache_mutex (e : envelope) resp =
+    P.Mutex.lock cache_mutex;
+    cache_store cache e.client e.rid resp;
+    P.Mutex.unlock cache_mutex;
+    Net.send net ~src:replica_id ~dst:e.client
+      (Reply { rid = e.rid; resp; replica = replica_id })
 
   let sequential_executor ~apply =
     let executed = P.Atomic.make 0 in
@@ -155,108 +144,78 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       exec_executed = (fun () -> P.Atomic.get executed);
     }
 
-  let parallel_executor ~impl ~workers ~max_size ~apply =
-    let (module Cos : Psmr_cos.Cos_intf.S with type cmd = envelope) =
-      Psmr_cos.Registry.instantiate_keyed impl (module P) (module Env_cmd)
+  let cos_executor ~impl ~workers ~max_size ~apply =
+    let (module Cos) =
+      Psmr_cos.Registry.instantiate impl (module P) (module Env_cmd)
     in
     let module Sched = Psmr_sched.Scheduler.Make (P) (Cos) in
     let sched = Sched.start ?max_size ~workers ~execute:apply () in
     {
-      exec_submit = (fun e -> Sched.submit sched e);
-      exec_submit_batch = (fun es -> Sched.submit_batch sched es);
+      exec_submit = Sched.submit sched;
+      exec_submit_batch = Sched.submit_batch sched;
       exec_drain = (fun () -> Sched.drain sched);
       exec_shutdown = (fun () -> Sched.shutdown sched);
       exec_executed = (fun () -> Sched.executed sched);
     }
 
-  (* The early class-map dispatcher behind the same executor record, via
-     the generic backend registry (conservative feed: the replica delivers
-     in final order, so there is nothing to speculate on). *)
-  let early_executor ~workers ~classes ~max_size ~apply =
-    let (module B : Psmr_sched.Sched_intf.BACKEND with type cmd = envelope) =
-      Psmr_early.Registry.instantiate
-        (Psmr_early.Registry.Early { classes; optimistic = false })
-        (module P) (module Env_cmd)
-    in
-    let b = B.start ?max_size ~workers ~execute:apply () in
-    {
-      exec_submit = (fun e -> B.submit b e);
-      exec_submit_batch = (fun es -> B.submit_batch b es);
-      exec_drain = (fun () -> B.drain b);
-      exec_shutdown = (fun () -> B.shutdown b);
-      exec_executed = (fun () -> B.executed b);
-    }
+  (* The early class-map dispatcher.  Without [speculate] it is fed
+     conservatively: the replica delivers in final order, so each command
+     is submitted as final.
 
-  (* The optimistic early dispatcher: execution starts at submission
-     through the service's undo capability, mis-speculations roll back,
-     and the reply to the client is withheld until the command commits at
-     its confirmed final-order position — a speculative response must
-     never escape the replica.  Responses are stashed per (client, rid)
-     between execution and commit; a re-execution after a rollback simply
-     overwrites the stale stash entry.
-
-     The replica delivers in final order only, so the parallelizer feeds
-     each delivered batch through [submit_optimistic] and confirms it in
-     the same order: ordering mis-speculation cannot arise at this layer,
-     but execution overlaps the remaining submissions and confirmations
-     exactly as in the standalone optimistic harness. *)
-  let early_opt_executor ~workers ~classes ~max_size ~service ~opt_execute
-      ~replica_id ~net ~cache ~cache_mutex =
-    let (module B : Psmr_sched.Sched_intf.OPT_BACKEND with type cmd = envelope)
-        =
-      Psmr_early.Registry.instantiate_opt
-        (Psmr_early.Registry.Early { classes; optimistic = true })
-        (module P) (module Env_cmd)
-    in
-    let stash : (int * int, S.response) Hashtbl.t = Hashtbl.create 64 in
-    let stash_m = P.Mutex.create () in
-    let stash_put (e : envelope) resp =
-      P.Mutex.lock stash_m;
-      Hashtbl.replace stash (e.client, e.rid) resp;
-      P.Mutex.unlock stash_m
-    in
-    let run (e : envelope) =
-      let resp, undo = opt_execute service e.cmd in
-      stash_put e resp;
-      undo
-    in
-    let on_commit (e : envelope) =
-      P.Mutex.lock stash_m;
-      let resp = Hashtbl.find_opt stash (e.client, e.rid) in
-      Hashtbl.remove stash (e.client, e.rid);
-      P.Mutex.unlock stash_m;
-      match resp with
+     With [speculate] (the service's execute-with-undo), execution starts
+     at submission, mis-speculations roll back, and the reply is withheld
+     until the command commits at its confirmed final-order position — a
+     speculative response must never escape the replica.  Responses are
+     stashed per (client, rid) between execution and commit; a
+     re-execution after a rollback overwrites the stale entry.  The
+     replica delivers in final order only, so each delivered batch goes
+     through [submit_optimistic] and is confirmed in the same order:
+     ordering mis-speculation cannot arise here, but execution overlaps
+     the remaining submissions and confirmations. *)
+  let early_executor ~workers ~classes ~max_size ~apply ~reply ~speculate =
+    let module D = Psmr_early.Dispatch.Make (P) (Env_cmd) in
+    let d, submit, submit_batch =
+      match speculate with
       | None ->
-          (* Commit fires after the execution that stashed the response,
-             on the same worker (or after a handoff that orders them). *)
-          assert false
-      | Some resp ->
-          P.Mutex.lock cache_mutex;
-          cache_store cache e.client e.rid resp;
-          P.Mutex.unlock cache_mutex;
-          Net.send net ~src:replica_id ~dst:e.client
-            (Reply { rid = e.rid; resp; replica = replica_id })
-    in
-    let b =
-      B.start_opt ?max_size ~speculate:run
-        ~on_commit ~workers
-        ~execute:(fun e -> ignore (run e : unit -> unit))
-        ()
+          let d = D.start_full ?max_size ?classes ~workers ~execute:apply () in
+          (d, D.submit d, D.submit_batch d)
+      | Some opt_execute ->
+          let stash : (int * int, S.response) Hashtbl.t = Hashtbl.create 64 in
+          let stash_m = P.Mutex.create () in
+          let run (e : envelope) =
+            let resp, undo = opt_execute e.cmd in
+            P.Mutex.lock stash_m;
+            Hashtbl.replace stash (e.client, e.rid) resp;
+            P.Mutex.unlock stash_m;
+            undo
+          in
+          let on_commit (e : envelope) =
+            P.Mutex.lock stash_m;
+            let resp = Hashtbl.find_opt stash (e.client, e.rid) in
+            Hashtbl.remove stash (e.client, e.rid);
+            P.Mutex.unlock stash_m;
+            (* Commit fires after the execution that stashed the response,
+               on the same worker (or after a handoff that orders them). *)
+            reply e (Option.get resp)
+          in
+          let d =
+            D.start_full ?max_size ?classes ~speculate:run ~on_commit ~workers
+              ~execute:(fun e -> ignore (run e : unit -> unit))
+              ()
+          in
+          ( d,
+            (fun e -> D.confirm d (D.submit_optimistic d e)),
+            fun es ->
+              (* The whole batch is optimistically in flight before its
+                 first confirmation. *)
+              Array.iter (D.confirm d) (Array.map (D.submit_optimistic d) es) )
     in
     {
-      exec_submit =
-        (fun e ->
-          let sp = B.submit_optimistic b e in
-          B.confirm b sp);
-      exec_submit_batch =
-        (fun es ->
-          (* The whole batch is optimistically in flight before its first
-             confirmation. *)
-          let sps = Array.map (fun e -> B.submit_optimistic b e) es in
-          Array.iter (fun sp -> B.confirm b sp) sps);
-      exec_drain = (fun () -> B.drain b);
-      exec_shutdown = (fun () -> B.shutdown b);
-      exec_executed = (fun () -> B.executed b);
+      exec_submit = submit;
+      exec_submit_batch = submit_batch;
+      exec_drain = (fun () -> D.drain d);
+      exec_shutdown = (fun () -> D.shutdown d);
+      exec_executed = (fun () -> D.executed d);
     }
 
   (* --- replica --- *)
@@ -391,10 +350,10 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       make_service : int -> S.t;  (** fresh service state for replica [i] *)
       opt_execute :
         (S.t -> S.command -> S.response * (unit -> unit)) option;
-          (** execute-with-undo for {!Parallel_early_opt}: run the command
-              and return its response plus the closure that reverts it
-              (wrap an {!Psmr_app.Service_intf.UNDOABLE} service's
-              [execute_undoable]/[undo] pair) *)
+          (** execute-with-undo for an optimistic {!Parallel_early}: run
+              the command and return its response plus the closure that
+              reverts it (wrap an {!Psmr_app.Service_intf.UNDOABLE}
+              service's [execute_undoable]/[undo] pair) *)
     }
 
     let default_config ~make_service () =
@@ -424,13 +383,21 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
       if cfg.replicas < 3 || cfg.replicas mod 2 = 0 then
         invalid_arg "Deployment: replicas must be odd and >= 3";
       if cfg.clients < 0 then invalid_arg "Deployment: negative clients";
-      (match cfg.mode with
-      | Partitioned { partitions; inner } ->
-          if partitions <= 0 then
-            invalid_arg "Deployment: partitions must be > 0";
-          (match inner with
-          | Partitioned _ -> invalid_arg "Deployment: nested Partitioned mode"
-          | _ -> ())
+      (* Partitioning changes ordering, not execution: the executor comes
+         from the inner mode. *)
+      let exec_mode =
+        match cfg.mode with
+        | Partitioned { partitions; _ } when partitions <= 0 ->
+            invalid_arg "Deployment: partitions must be > 0"
+        | Partitioned { inner = Partitioned _; _ } ->
+            invalid_arg "Deployment: nested Partitioned mode"
+        | Partitioned { inner; _ } -> inner
+        | m -> m
+      in
+      (match (exec_mode, cfg.opt_execute) with
+      | Parallel_early { optimistic = true; _ }, None ->
+          invalid_arg
+            "Deployment: an optimistic Parallel_early requires opt_execute"
       | _ -> ());
       let net =
         Net.create ~latency:cfg.latency ~nodes:(cfg.replicas + cfg.clients) ()
@@ -446,36 +413,23 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
             in
             let cache_mutex = P.Mutex.create () in
             let seen_rid : (int, int) Hashtbl.t = Hashtbl.create 64 in
-            let apply =
-              make_apply ~replica_id:id ~service ~net ~cache ~cache_mutex
-            in
-            (* Partitioning changes ordering, not execution: the executor
-               comes from the inner mode. *)
-            let rec exec_mode = function
-              | Partitioned { inner; _ } -> exec_mode inner
-              | m -> m
-            in
+            let reply = make_reply ~replica_id:id ~net ~cache ~cache_mutex in
+            let apply (e : envelope) = reply e (S.execute service e.cmd) in
+            let max_size = cfg.cos_max_size in
             let executor =
-              match exec_mode cfg.mode with
-              | Partitioned _ -> assert false (* exec_mode unwraps these *)
+              match exec_mode with
+              | Partitioned _ -> assert false (* unwrapped above *)
               | Sequential -> sequential_executor ~apply
               | Parallel { impl; workers } ->
-                  parallel_executor ~impl ~workers ~max_size:cfg.cos_max_size
-                    ~apply
-              | Parallel_early { workers; classes } ->
-                  early_executor ~workers ~classes ~max_size:cfg.cos_max_size
-                    ~apply
-              | Parallel_early_opt { workers; classes } ->
-                  let opt_execute =
-                    match cfg.opt_execute with
-                    | Some f -> f
-                    | None ->
-                        invalid_arg
-                          "Deployment: Parallel_early_opt requires opt_execute"
+                  cos_executor ~impl ~workers ~max_size ~apply
+              | Parallel_early { workers; classes; optimistic } ->
+                  let speculate =
+                    if optimistic then
+                      Option.map (fun f -> f service) cfg.opt_execute
+                    else None
                   in
-                  early_opt_executor ~workers ~classes
-                    ~max_size:cfg.cos_max_size ~service ~opt_execute
-                    ~replica_id:id ~net ~cache ~cache_mutex
+                  early_executor ~workers ~classes ~max_size ~apply ~reply
+                    ~speculate
             in
             let delivered_commands = P.Atomic.make 0 in
             (* The parallelizer stage (Figure 1b) is its own thread: the

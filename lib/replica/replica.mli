@@ -3,7 +3,8 @@
 
     [Make (P) (S)] assembles, for service [S] on platform [P]: the wire
     protocol, replicas (protocol event loop + parallelizer thread +
-    sequential or COS-parallel executor + at-most-once reply cache),
+    sequential, COS-parallel or early-scheduling executor + at-most-once
+    reply cache),
     batched closed-loop clients with timeout failover, and the deployment
     wiring over an in-process network.  Runs identically on real threads
     (tests, examples) and under the simulator (benchmark harness). *)
@@ -14,15 +15,15 @@ type mode =
   | Sequential  (** classical SMR: execute in delivery order, one at a time *)
   | Parallel of { impl : Psmr_cos.Registry.impl; workers : int }
       (** scheduler + COS + worker pool (Algorithm 1) *)
-  | Parallel_early of { workers : int; classes : int option }
-      (** early-scheduling class-map dispatcher, conservative feed;
-          [classes = None] means one class per worker *)
-  | Parallel_early_opt of { workers : int; classes : int option }
-      (** class-map dispatcher driven through the optimistic protocol with
-          execution-time speculation: commands execute as soon as they are
-          dispatched, mis-speculations roll back through the service's
-          undo capability, and replies are withheld until commit.
-          Requires {!Make.Deployment.config.opt_execute}. *)
+  | Parallel_early of { workers : int; classes : int option; optimistic : bool }
+      (** early-scheduling class-map dispatcher; [classes = None] means one
+          class per worker.  With [optimistic = false] it is fed
+          conservatively, in final order.  With [optimistic = true] it is
+          driven through the optimistic protocol with execution-time
+          speculation: commands execute as soon as they are dispatched,
+          mis-speculations roll back through the service's undo
+          capability, and replies are withheld until commit.  The
+          optimistic feed requires {!Make.Deployment.config.opt_execute}. *)
   | Partitioned of { partitions : int; inner : mode }
       (** sharded ordering ({!Psmr_broadcast.Partition}): one sequencer per
           key partition, cross-partition commands merged deterministically
@@ -80,12 +81,12 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
       make_service : int -> S.t;  (** fresh service state for replica [i] *)
       opt_execute :
         (S.t -> S.command -> S.response * (unit -> unit)) option;
-          (** execute-with-undo for {!Parallel_early_opt}: run the command
-              and return its response plus the closure that reverts it —
-              wrap an {!Psmr_app.Service_intf.UNDOABLE} service's
-              [execute_undoable]/[undo] pair.  Ignored by other modes;
-              [create] rejects a [Parallel_early_opt] deployment without
-              it. *)
+          (** execute-with-undo for an optimistic {!Parallel_early}: run
+              the command and return its response plus the closure that
+              reverts it — wrap an {!Psmr_app.Service_intf.UNDOABLE}
+              service's [execute_undoable]/[undo] pair.  Ignored by other
+              modes; [create] rejects an optimistic [Parallel_early]
+              deployment without it. *)
     }
 
     val default_config : make_service:(int -> S.t) -> unit -> config
@@ -95,6 +96,10 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) : sig
     type t
 
     val create : config -> t
+    (** Raises [Invalid_argument] on an even or smaller-than-3 replica
+        count, negative clients, [partitions <= 0], a nested
+        [Partitioned] mode, or an optimistic [Parallel_early] without
+        [opt_execute]. *)
 
     val start : t -> unit
     (** Spawn every replica's protocol loop, parallelizer and ticker. *)

@@ -282,75 +282,6 @@ let test_costed_list_snapshot_roundtrip () =
   Alcotest.(check bool) "initial present" true
     (Psmr_harness.Costed_list.execute b (Contains 3))
 
-(* --- the FIFO COS (sequential baseline) --- *)
-
-module RP = Psmr_platform.Real_platform
-
-module Fifo =
-  Psmr_cos.Fifo.Make
-    (RP)
-    (struct
-      type t = int
-
-      let conflict _ _ = true
-      let pp = Format.pp_print_int
-    end)
-
-let test_fifo_order () =
-  let t = Fifo.create () in
-  for i = 0 to 9 do
-    Fifo.insert t i
-  done;
-  for i = 0 to 9 do
-    let h = Option.get (Fifo.get t) in
-    Alcotest.(check int) "fifo order" i (Fifo.command h);
-    Fifo.remove t h
-  done
-
-let test_fifo_serializes_even_reads () =
-  (* Even with many workers, fifo admits one in-flight command at a time:
-     a second get blocks until remove. *)
-  let t = Fifo.create () in
-  Fifo.insert t 0;
-  Fifo.insert t 1;
-  let h0 = Option.get (Fifo.get t) in
-  let second = Atomic.make (-1) in
-  let th =
-    Thread.create
-      (fun () ->
-        let h = Option.get (Fifo.get t) in
-        Atomic.set second (Fifo.command h);
-        Fifo.remove t h)
-      ()
-  in
-  Thread.delay 0.05;
-  Alcotest.(check int) "second blocked" (-1) (Atomic.get second);
-  Fifo.remove t h0;
-  Thread.join th;
-  Alcotest.(check int) "second released in order" 1 (Atomic.get second)
-
-let test_fifo_close () =
-  let t = Fifo.create () in
-  Fifo.close t;
-  Alcotest.(check bool) "none after close" true (Fifo.get t = None)
-
-let test_fifo_scheduler_end_to_end () =
-  let module Sched = Psmr_sched.Scheduler.Make (RP) (Fifo) in
-  let order = ref [] in
-  let mu = Mutex.create () in
-  let execute i =
-    Mutex.lock mu;
-    order := i :: !order;
-    Mutex.unlock mu
-  in
-  let sched = Sched.start ~workers:4 ~execute () in
-  for i = 0 to 99 do
-    Sched.submit sched i
-  done;
-  Sched.shutdown sched;
-  Alcotest.(check (list int)) "sequential order despite 4 workers"
-    (List.init 100 Fun.id) (List.rev !order)
-
 (* --- the undo capability (optimistic rollback support) --- *)
 
 (* Seeded random command streams per service, shared by the undo tests. *)
@@ -579,12 +510,5 @@ let () =
             test_kv_undo_back_to_checkpoint;
           Alcotest.test_case "bank: rollback lands on checkpoint" `Quick
             test_bank_undo_back_to_checkpoint;
-        ] );
-      ( "fifo",
-        [
-          Alcotest.test_case "order" `Quick test_fifo_order;
-          Alcotest.test_case "serializes" `Quick test_fifo_serializes_even_reads;
-          Alcotest.test_case "close" `Quick test_fifo_close;
-          Alcotest.test_case "end-to-end" `Quick test_fifo_scheduler_end_to_end;
         ] );
     ]

@@ -30,13 +30,9 @@ let impls =
     (Registry.Indexed, "indexed");
   ]
 
-(* The close-semantics tests additionally cover the sequential fifo
-   baseline: shutdown behaviour must be uniform across every variant. *)
-let impls_with_fifo = impls @ [ (Registry.Fifo, "fifo") ]
-
 let impl_cos impl :
     (module Cos_intf.S with type cmd = Rw_cmd.t) =
-  Registry.instantiate_keyed impl (module RP) (module Rw_cmd)
+  Registry.instantiate impl (module RP) (module Rw_cmd)
 
 (* --- registry --- *)
 
@@ -52,8 +48,7 @@ let test_registry_parsing () =
   check "fine" (Some Registry.Fine);
   check "lock-free" (Some Registry.Lockfree);
   check "lockfree" (Some Registry.Lockfree);
-  check "fifo" (Some Registry.Fifo);
-  check "sequential" (Some Registry.Fifo);
+  check "LOCKFREE" (Some Registry.Lockfree);
   check "striped" (Some (Registry.Striped 16));
   check "striped-4" (Some (Registry.Striped 4));
   check "striped-0" None;
@@ -68,7 +63,7 @@ let test_registry_roundtrip () =
         (Registry.to_string impl)
         true
         (Registry.of_string (Registry.to_string impl) = Some impl))
-    (Registry.Fifo :: Registry.Striped 8 :: Registry.all)
+    (Registry.Striped 8 :: Registry.all)
 
 let test_invalid_create_args () =
   let module S = (val impl_cos Registry.Coarse) in
@@ -356,7 +351,7 @@ let sim_scheduler_crash impl ~spec ~expect_crashed () =
   let e = Engine.create () in
   let (module SP) = Sim_platform.make e Costs.default in
   let (module S : Cos_intf.S with type cmd = Rw_cmd.t) =
-    Registry.instantiate_keyed impl (module SP) (module Rw_cmd)
+    Registry.instantiate impl (module SP) (module Rw_cmd)
   in
   let module Sched = Psmr_sched.Scheduler.Make (SP) (S) in
   let plan =
@@ -482,7 +477,7 @@ let test_sim_scheduler impl () =
   let e = Engine.create () in
   let (module SP) = Sim_platform.make e Costs.default in
   let (module S : Cos_intf.S with type cmd = Rw_cmd.t) =
-    Registry.instantiate_keyed impl (module SP) (module Rw_cmd)
+    Registry.instantiate impl (module SP) (module Rw_cmd)
   in
   let module Sched = Psmr_sched.Scheduler.Make (SP) (S) in
   let executed_order = ref [] in
@@ -512,7 +507,7 @@ let test_sim_determinism impl () =
     let e = Engine.create () in
     let (module SP) = Sim_platform.make e Costs.default in
     let (module S : Cos_intf.S with type cmd = Rw_cmd.t) =
-      Registry.instantiate_keyed impl (module SP) (module Rw_cmd)
+      Registry.instantiate impl (module SP) (module Rw_cmd)
     in
     let module Sched = Psmr_sched.Scheduler.Make (SP) (S) in
     Engine.spawn e (fun () ->
@@ -546,7 +541,7 @@ let kv_equivalence impl =
         let pp ppf (i, c) = Format.fprintf ppf "%d:%a" i Psmr_app.Kv_store.pp_command c
       end in
       let (module S : Cos_intf.S with type cmd = KC.t) =
-        Registry.instantiate_keyed impl (module RP) (module KC)
+        Registry.instantiate impl (module RP) (module KC)
       in
       let module Sched = Psmr_sched.Scheduler.Make (RP) (S) in
       let cmds =
@@ -665,7 +660,7 @@ let sim_schedule_equivalence impl =
         let pp ppf (i, _) = Format.pp_print_int ppf i
       end in
       let (module S : Cos_intf.S with type cmd = KC.t) =
-        Registry.instantiate_keyed impl (module SP) (module KC)
+        Registry.instantiate impl (module SP) (module KC)
       in
       let module Sched = Psmr_sched.Scheduler.Make (SP) (S) in
       let cmds =
@@ -742,7 +737,7 @@ let test_algorithm7_race_regression impl () =
       let pp ppf (i, _) = Format.pp_print_int ppf i
     end in
     let (module S : Cos_intf.S with type cmd = KC.t) =
-      Registry.instantiate_keyed impl (module SP) (module KC)
+      Registry.instantiate impl (module SP) (module KC)
     in
     let module Sched = Psmr_sched.Scheduler.Make (SP) (S) in
     let par_store = Psmr_app.Kv_store.create ~capacity:4 in
@@ -802,7 +797,7 @@ let test_close_many_blocked_getters impl () =
   let e = Engine.create () in
   let (module SP) = Sim_platform.make e Costs.default in
   let (module S : Cos_intf.S with type cmd = Rw_cmd.t) =
-    Registry.instantiate_keyed impl (module SP) (module Rw_cmd)
+    Registry.instantiate impl (module SP) (module Rw_cmd)
   in
   let getters = 1500 in
   let t = S.create ~max_size:2000 ~worker_bound:getters () in
@@ -835,7 +830,7 @@ end
 
 let drain_order impl cmds =
   let (module S : Cos_intf.S with type cmd = Keyed_cmd.t) =
-    Registry.instantiate_keyed impl (module RP) (module Keyed_cmd)
+    Registry.instantiate impl (module RP) (module Keyed_cmd)
   in
   let n = Array.length cmds in
   let t = S.create ~max_size:(n + 1) () in
@@ -883,12 +878,6 @@ let per_impl name f =
       Alcotest.test_case (Printf.sprintf "%s [%s]" name label) `Quick (f impl))
     impls
 
-let per_impl_all name f =
-  List.map
-    (fun (impl, label) ->
-      Alcotest.test_case (Printf.sprintf "%s [%s]" name label) `Quick (f impl))
-    impls_with_fifo
-
 let () =
   let stress impl ~workers ~write_pct ~seed () =
     stress_scheduler impl ~workers ~commands:2000 ~write_pct ~seed ()
@@ -907,21 +896,21 @@ let () =
       ("blocking", per_impl "write waits for reads" test_write_waits_for_reads);
       ("bounded", per_impl "insert blocks when full" test_bounded_insert_blocks);
       ( "shutdown",
-        per_impl_all "close unblocks getters" test_close_unblocks_getters
-        @ per_impl_all "close idempotent" test_close_idempotent
-        @ per_impl_all "close drains blocked getters"
+        per_impl "close unblocks getters" test_close_unblocks_getters
+        @ per_impl "close idempotent" test_close_idempotent
+        @ per_impl "close drains blocked getters"
             test_close_drains_blocked_getters );
       ("dag", per_impl "dependency chain" test_dependency_chain);
       ( "requeue",
-        per_impl_all "reserved command returns" test_requeue_basic
-        @ per_impl_all "requeue after remove rejected" test_requeue_invalid
+        per_impl "reserved command returns" test_requeue_basic
+        @ per_impl "requeue after remove rejected" test_requeue_invalid
         @ per_impl "dependents kept" test_requeue_dependents
-        @ per_impl_all "close drains requeued" test_requeue_then_close_drains );
+        @ per_impl "close drains requeued" test_requeue_then_close_drains );
       ( "worker-crash",
         per_impl "crash + respawn, exactly-once" test_sim_scheduler_crash_respawn
         @ per_impl "crash-stop, pool shrinks" test_sim_scheduler_crash_stop );
       ( "batch",
-        per_impl_all "insert_batch chunks and keeps order"
+        per_impl "insert_batch chunks and keeps order"
           test_insert_batch_chunks );
       ( "close-tokens",
         per_impl "close wakes >1024 blocked getters"

@@ -400,7 +400,7 @@ let kv_equivalence =
       in
       let run_coarse () =
         let (module S : Psmr_cos.Cos_intf.S with type cmd = KC.t) =
-          Psmr_cos.Registry.instantiate_keyed Psmr_cos.Registry.Coarse
+          Psmr_cos.Registry.instantiate Psmr_cos.Registry.Coarse
             (module RP)
             (module KC)
         in
@@ -474,7 +474,7 @@ let bank_equivalence =
       in
       let run_coarse () =
         let (module S : Psmr_cos.Cos_intf.S with type cmd = KC.t) =
-          Psmr_cos.Registry.instantiate_keyed Psmr_cos.Registry.Coarse
+          Psmr_cos.Registry.instantiate Psmr_cos.Registry.Coarse
             (module RP)
             (module KC)
         in
@@ -549,7 +549,7 @@ let list_equivalence =
       in
       let run_coarse () =
         let (module S : Psmr_cos.Cos_intf.S with type cmd = KC.t) =
-          Psmr_cos.Registry.instantiate_keyed Psmr_cos.Registry.Coarse
+          Psmr_cos.Registry.instantiate Psmr_cos.Registry.Coarse
             (module RP)
             (module KC)
         in
@@ -954,6 +954,11 @@ let test_backend_registry_roundtrip () =
   check "early" (Some (R.Early Psmr_early.Early_intf.conservative));
   check "early-opt" (Some (R.Early Psmr_early.Early_intf.optimistic));
   check "early_opt" (Some (R.Early Psmr_early.Early_intf.optimistic));
+  check "EARLY" (Some (R.Early Psmr_early.Early_intf.conservative));
+  check "Early_Opt-4"
+    (Some
+       (R.Early { Psmr_early.Early_intf.classes = Some 4; optimistic = true }));
+  check "LOCKFREE" (Some (R.Cos Psmr_cos.Registry.Lockfree));
   check "early-4"
     (Some (R.Early { Psmr_early.Early_intf.classes = Some 4; optimistic = false }));
   check "early-opt-8"
@@ -967,27 +972,6 @@ let test_backend_registry_roundtrip () =
     (R.is_optimistic (R.Early Psmr_early.Early_intf.optimistic));
   Alcotest.(check bool) "early is conservative" false
     (R.is_optimistic (R.Early Psmr_early.Early_intf.conservative))
-
-let backend_smoke backend () =
-  (* Generic BACKEND dispatch: the registry instance must run a workload
-     end to end, whatever the family. *)
-  let (module B : Psmr_sched.Sched_intf.BACKEND with type cmd = Fc.t) =
-    Psmr_early.Registry.instantiate backend (module RP) (module Fc)
-  in
-  let count = Atomic.make 0 in
-  let b = B.start ~workers:3 ~execute:(fun _ -> Atomic.incr count) () in
-  let rng = Psmr_util.Rng.create ~seed:40L in
-  for i = 0 to 299 do
-    B.submit b
-      {
-        Fc.idx = i;
-        fp = [ (Psmr_util.Rng.int rng 8, Psmr_util.Rng.below_percent rng 20.0) ];
-      }
-  done;
-  B.shutdown b;
-  Alcotest.(check int) "executed (counter)" 300 (Atomic.get count);
-  Alcotest.(check int) "executed (backend)" 300 (B.executed b);
-  Alcotest.(check int) "submitted" 300 (B.submitted b)
 
 (* --- the keyed-workload harness on the DES --- *)
 
@@ -1083,15 +1067,6 @@ let () =
         [
           Alcotest.test_case "roundtrip and parsing" `Quick
             test_backend_registry_roundtrip;
-          Alcotest.test_case "instantiate early" `Quick
-            (backend_smoke
-               (Psmr_early.Registry.Early Psmr_early.Early_intf.conservative));
-          Alcotest.test_case "instantiate early-4" `Quick
-            (backend_smoke
-               (Psmr_early.Registry.Early
-                  { Psmr_early.Early_intf.classes = Some 4; optimistic = false }));
-          Alcotest.test_case "instantiate cos:coarse" `Quick
-            (backend_smoke (Psmr_early.Registry.Cos Psmr_cos.Registry.Coarse));
         ] );
       ( "harness",
         [

@@ -197,7 +197,7 @@ let test_standalone_faulty_replayable () =
 
 let impls =
   Psmr_cos.Registry.
-    [ Coarse; Fine; Lockfree; Fifo; Striped 4; Indexed ]
+    [ Coarse; Fine; Lockfree; Striped 4; Indexed ]
 
 module Recovery_equiv (Service : Psmr_app.Service_intf.S) = struct
   module R = Psmr_harness.Recovery.Make (Service)

@@ -18,7 +18,6 @@ let impls =
     (Registry.Fine, "fine");
     (Registry.Lockfree, "lockfree");
     (Registry.Striped 8, "striped-8");
-    (Registry.Fifo, "fifo");
     (Registry.Indexed, "indexed");
   ]
 
@@ -42,7 +41,7 @@ let scripted impl ~metrics =
   let e = Engine.create () in
   let (module SP) = Sim_platform.make e Costs.default in
   let (module S : Psmr_cos.Cos_intf.S with type cmd = Rw_cmd.t) =
-    Registry.instantiate_keyed impl (module SP) (module Rw_cmd)
+    Registry.instantiate impl (module SP) (module Rw_cmd)
   in
   let module Sched = Psmr_sched.Scheduler.Make (SP) (S) in
   let registry =

@@ -889,7 +889,8 @@ let () =
             (test_part_kv_roundtrip Sequential);
           Alcotest.test_case "kv roundtrip (early inner)" `Quick
             (test_part_kv_roundtrip
-               (Parallel_early { workers = 2; classes = None }));
+               (Parallel_early
+                  { workers = 2; classes = None; optimistic = false }));
           Alcotest.test_case "kv replicas converge (cos inner)" `Quick
             test_part_kv_replicas_converge;
           Alcotest.test_case "bank cross-partition transfers" `Quick

@@ -347,7 +347,9 @@ let sim_deployment_digest mode =
    to hold unchanged through refactors of the replica layer. *)
 let deployment_golden =
   let open Psmr_replica.Replica in
-  let early = Parallel_early { workers = 3; classes = None } in
+  let early =
+    Parallel_early { workers = 3; classes = None; optimistic = false }
+  in
   [
     ( "sequential",
       Sequential,
@@ -359,7 +361,7 @@ let deployment_golden =
       early,
       "793cb9a0df24af1609ba1e35ea177351 clock=0x1p-1 events=34958" );
     ( "early-opt",
-      Parallel_early_opt { workers = 3; classes = None },
+      Parallel_early { workers = 3; classes = None; optimistic = true },
       "186156868e2cab65ae39ea2ffcaea0ac clock=0x1p-1 events=36400" );
     ( "part2-indexed",
       Partitioned
@@ -383,14 +385,55 @@ let deployment_golden_tests =
           Alcotest.(check string) "golden event-order digest" expected digest))
     deployment_golden
 
+(* [Deployment.create] rejects configurations it cannot run.  The
+   deployments are built on an engine that never runs, so the accepted
+   control spawns no thread. *)
+let test_create_validation () =
+  let engine = Psmr_sim.Engine.create () in
+  let (module SP) = Psmr_sim.Sim_platform.make engine Psmr_sim.Costs.default in
+  let module SMR = Psmr_replica.Replica.Make (SP) (Psmr_app.Kv_store) in
+  let base =
+    SMR.Deployment.default_config
+      ~make_service:(fun _ -> Psmr_app.Kv_store.create ~capacity:16)
+      ()
+  in
+  let open Psmr_replica.Replica in
+  let early optimistic =
+    Parallel_early { workers = 2; classes = None; optimistic }
+  in
+  let rejects what cfg =
+    match SMR.Deployment.create cfg with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "optimistic early without opt_execute"
+    { base with mode = early true };
+  rejects "nested Partitioned"
+    {
+      base with
+      mode =
+        Partitioned
+          {
+            partitions = 2;
+            inner = Partitioned { partitions = 2; inner = early false };
+          };
+    };
+  rejects "zero partitions"
+    { base with mode = Partitioned { partitions = 0; inner = early false } };
+  rejects "even replica count" { base with replicas = 4 };
+  ignore
+    (SMR.Deployment.create
+       { base with mode = early true; opt_execute = Some kv_opt_execute }
+      : SMR.Deployment.t)
+
 let () =
   let m_seq = Psmr_replica.Replica.Sequential in
   let m_par impl =
     Psmr_replica.Replica.Parallel { impl; workers = 3 }
   in
-  let m_early = Psmr_replica.Replica.Parallel_early { workers = 3; classes = None } in
-  let m_early_opt =
-    Psmr_replica.Replica.Parallel_early_opt { workers = 3; classes = None }
+  let m_early optimistic =
+    Psmr_replica.Replica.Parallel_early
+      { workers = 3; classes = None; optimistic }
   in
   Alcotest.run "replica"
     [
@@ -403,17 +446,19 @@ let () =
             (test_kv_roundtrip (m_par Psmr_cos.Registry.Fine));
           Alcotest.test_case "lockfree" `Quick
             (test_kv_roundtrip (m_par Psmr_cos.Registry.Lockfree));
-          Alcotest.test_case "early" `Quick (test_kv_roundtrip m_early);
-          Alcotest.test_case "early-opt" `Quick (test_kv_roundtrip m_early_opt);
+          Alcotest.test_case "early" `Quick (test_kv_roundtrip (m_early false));
+          Alcotest.test_case "early-opt" `Quick
+            (test_kv_roundtrip (m_early true));
         ] );
       ( "convergence",
         [
           Alcotest.test_case "sequential" `Quick (test_kv_replicas_converge m_seq);
           Alcotest.test_case "lockfree parallel" `Quick
             (test_kv_replicas_converge (m_par Psmr_cos.Registry.Lockfree));
-          Alcotest.test_case "early" `Quick (test_kv_replicas_converge m_early);
+          Alcotest.test_case "early" `Quick
+            (test_kv_replicas_converge (m_early false));
           Alcotest.test_case "early-opt" `Quick
-            (test_kv_replicas_converge m_early_opt);
+            (test_kv_replicas_converge (m_early true));
         ] );
       ( "failover",
         [
@@ -421,6 +466,8 @@ let () =
           Alcotest.test_case "lockfree parallel" `Quick
             (test_leader_crash_failover (m_par Psmr_cos.Registry.Lockfree));
         ] );
+      ( "validation",
+        [ Alcotest.test_case "create rejects" `Quick test_create_validation ] );
       ( "at-most-once",
         [ Alcotest.test_case "deposits under retries" `Quick test_exactly_once_deposits ] );
       ( "simulated",

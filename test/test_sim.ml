@@ -428,7 +428,7 @@ let test_engine_scheduling_alloc_bound () =
 (* A seeded harness run's entire scheduling history, folded to one string:
    an MD5 over the (time, tag) pair of every executed event — hex floats,
    so the digest sees exact bits — plus the final clock and event count.
-   Pinned below for all six COS implementations, both early-scheduling
+   Pinned below for all five COS implementations, both early-scheduling
    modes, the batched delivery path, the partitioned stack, open-loop
    arrivals and a fault schedule.  Any engine change that reorders, adds
    or drops an event, or shifts virtual time by a single ULP, breaks
@@ -517,7 +517,6 @@ let golden_cases =
     cos "standalone-coarse" Psmr_cos.Registry.Coarse;
     cos "standalone-fine" Psmr_cos.Registry.Fine;
     cos "standalone-lockfree" Psmr_cos.Registry.Lockfree;
-    cos "standalone-fifo" Psmr_cos.Registry.Fifo;
     cos "standalone-striped-64" (Psmr_cos.Registry.Striped 64);
     cos "standalone-indexed" Psmr_cos.Registry.Indexed;
     keyed "early";
@@ -545,9 +544,6 @@ let golden_expected =
     ( "standalone-lockfree",
       "52b892feddf472db206054c8dac7bd02 clock=0x1.999999999999ap-6 \
        events=635183" );
-    ( "standalone-fifo",
-      "9aad2dff4b5cf5db6156b39f7028cdf1 clock=0x1.999999999999ap-6 \
-       events=75129" );
     ( "standalone-striped-64",
       "4b19ebdf24dc653c1c5ee8acb26c3e35 clock=0x1.999999999999ap-6 \
        events=228614" );

@@ -157,7 +157,9 @@ let test_smr_runs () =
 let test_smr_early_batch_above_window () =
   let r =
     Psmr_harness.Smr.run
-      ~mode:(Psmr_replica.Replica.Parallel_early { workers = 8; classes = None })
+      ~mode:
+        (Psmr_replica.Replica.Parallel_early
+           { workers = 8; classes = None; optimistic = false })
       ~spec:{ write_pct = 5.0; cost = Psmr_workload.Workload.Light }
       ~clients:151 ~cmds_per_request:1 ~duration:0.03 ~warmup:0.02 ()
   in
