@@ -973,6 +973,37 @@ let test_backend_registry_roundtrip () =
   Alcotest.(check bool) "early is conservative" false
     (R.is_optimistic (R.Early Psmr_early.Early_intf.conservative))
 
+(* Every registry name builds a backend that runs a keyed workload end to
+   end: the pipeline is the one place that turns a name into a running
+   backend, whichever family it names. *)
+let test_backend_runs backend () =
+  let r =
+    keyed_run ~workers:3 Psmr_workload.Workload.Keyed.low_conflict backend
+  in
+  Alcotest.(check bool) "executed some" true (r.executed > 0);
+  Alcotest.(check bool) "latency sampled" true (r.samples > 0);
+  Alcotest.(check int) "nothing dropped" 0 r.dispatch.dropped;
+  match backend with
+  | Psmr_early.Registry.Cos _ ->
+      Alcotest.(check int) "no early stats on cos" 0
+        (r.dispatch.direct + r.dispatch.rendezvous)
+  | Early _ ->
+      Alcotest.(check bool) "dispatcher ran" true
+        (r.dispatch.direct + r.dispatch.rendezvous > 0)
+
+let backend_run_tests =
+  let module R = Psmr_early.Registry in
+  List.map
+    (fun b ->
+      Alcotest.test_case
+        (Printf.sprintf "runs in the pipeline [%s]" (R.to_string b))
+        `Quick (test_backend_runs b))
+    (R.all
+    @ [
+        R.Early { Psmr_early.Early_intf.classes = Some 4; optimistic = false };
+        R.Early { Psmr_early.Early_intf.classes = Some 4; optimistic = true };
+      ])
+
 (* --- the keyed-workload harness on the DES --- *)
 
 let test_keyed_pipeline_early () =
@@ -1067,7 +1098,8 @@ let () =
         [
           Alcotest.test_case "roundtrip and parsing" `Quick
             test_backend_registry_roundtrip;
-        ] );
+        ]
+        @ backend_run_tests );
       ( "harness",
         [
           Alcotest.test_case "keyed pipeline early" `Quick test_keyed_pipeline_early;

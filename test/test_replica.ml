@@ -104,7 +104,11 @@ let test_leader_crash_failover mode () =
 
 module Bank_smr = Psmr_replica.Replica.Make (RP) (Psmr_app.Bank)
 
-let test_exactly_once_deposits () =
+let bank_opt_execute s cmd =
+  let resp, u = Psmr_app.Bank.execute_undoable s cmd in
+  (resp, fun () -> Psmr_app.Bank.undo s u)
+
+let test_exactly_once_deposits mode () =
   (* Aggressive client timeout forces spurious retries; deposits must still
      be applied exactly once each. *)
   let services = Array.make 3 None in
@@ -117,10 +121,11 @@ let test_exactly_once_deposits () =
     {
       (Bank_smr.Deployment.default_config ~make_service ()) with
       clients = 2;
-      mode = Parallel { impl = Psmr_cos.Registry.Lockfree; workers = 2 };
+      mode;
       abcast = fast_abcast;
       tick_interval = 1e-3;
       client_timeout = 0.02 (* small: retries will happen *);
+      opt_execute = Some bank_opt_execute;
     }
   in
   let d = Bank_smr.Deployment.create cfg in
@@ -385,10 +390,10 @@ let deployment_golden_tests =
           Alcotest.(check string) "golden event-order digest" expected digest))
     deployment_golden
 
-(* [Deployment.create] rejects configurations it cannot run.  The
-   deployments are built on an engine that never runs, so the accepted
+(* [Deployment.create] rejects configurations it cannot run.  Each
+   deployment is built on an engine that never runs, so the accepted
    control spawns no thread. *)
-let test_create_validation () =
+let create_on_sim ?replicas ?opt_execute mode =
   let engine = Psmr_sim.Engine.create () in
   let (module SP) = Psmr_sim.Sim_platform.make engine Psmr_sim.Costs.default in
   let module SMR = Psmr_replica.Replica.Make (SP) (Psmr_app.Kv_store) in
@@ -397,43 +402,51 @@ let test_create_validation () =
       ~make_service:(fun _ -> Psmr_app.Kv_store.create ~capacity:16)
       ()
   in
-  let open Psmr_replica.Replica in
-  let early optimistic =
-    Parallel_early { workers = 2; classes = None; optimistic }
-  in
-  let rejects what cfg =
-    match SMR.Deployment.create cfg with
-    | _ -> Alcotest.failf "%s: accepted" what
-    | exception Invalid_argument _ -> ()
-  in
-  rejects "optimistic early without opt_execute"
-    { base with mode = early true };
-  rejects "nested Partitioned"
-    {
-      base with
-      mode =
-        Partitioned
-          {
-            partitions = 2;
-            inner = Partitioned { partitions = 2; inner = early false };
-          };
-    };
-  rejects "zero partitions"
-    { base with mode = Partitioned { partitions = 0; inner = early false } };
-  rejects "even replica count" { base with replicas = 4 };
+  let replicas = Option.value replicas ~default:base.replicas in
   ignore
-    (SMR.Deployment.create
-       { base with mode = early true; opt_execute = Some kv_opt_execute }
+    (SMR.Deployment.create { base with mode; replicas; opt_execute }
       : SMR.Deployment.t)
+
+let validation_early optimistic =
+  Psmr_replica.Replica.Parallel_early { workers = 2; classes = None; optimistic }
+
+let test_create_rejects ?replicas ?opt_execute mode () =
+  match create_on_sim ?replicas ?opt_execute mode with
+  | () -> Alcotest.fail "accepted"
+  | exception Invalid_argument _ -> ()
+
+let test_create_accepts_optimistic () =
+  create_on_sim ~opt_execute:kv_opt_execute (validation_early true)
+
+let validation_tests =
+  let open Psmr_replica.Replica in
+  [
+    Alcotest.test_case "optimistic early without opt_execute" `Quick
+      (test_create_rejects (validation_early true));
+    Alcotest.test_case "nested Partitioned" `Quick
+      (test_create_rejects
+         (Partitioned
+            {
+              partitions = 2;
+              inner =
+                Partitioned { partitions = 2; inner = validation_early false };
+            }));
+    Alcotest.test_case "zero partitions" `Quick
+      (test_create_rejects
+         (Partitioned { partitions = 0; inner = validation_early false }));
+    Alcotest.test_case "even replica count" `Quick
+      (test_create_rejects ~replicas:4 (validation_early false));
+    Alcotest.test_case "optimistic early with opt_execute" `Quick
+      test_create_accepts_optimistic;
+  ]
 
 let () =
   let m_seq = Psmr_replica.Replica.Sequential in
   let m_par impl =
     Psmr_replica.Replica.Parallel { impl; workers = 3 }
   in
-  let m_early optimistic =
-    Psmr_replica.Replica.Parallel_early
-      { workers = 3; classes = None; optimistic }
+  let m_early ?classes optimistic =
+    Psmr_replica.Replica.Parallel_early { workers = 3; classes; optimistic }
   in
   Alcotest.run "replica"
     [
@@ -449,6 +462,10 @@ let () =
           Alcotest.test_case "early" `Quick (test_kv_roundtrip (m_early false));
           Alcotest.test_case "early-opt" `Quick
             (test_kv_roundtrip (m_early true));
+          Alcotest.test_case "early, 2 classes" `Quick
+            (test_kv_roundtrip (m_early ~classes:2 false));
+          Alcotest.test_case "early-opt, 2 classes" `Quick
+            (test_kv_roundtrip (m_early ~classes:2 true));
         ] );
       ( "convergence",
         [
@@ -465,11 +482,23 @@ let () =
           Alcotest.test_case "sequential" `Quick (test_leader_crash_failover m_seq);
           Alcotest.test_case "lockfree parallel" `Quick
             (test_leader_crash_failover (m_par Psmr_cos.Registry.Lockfree));
+          Alcotest.test_case "early" `Quick
+            (test_leader_crash_failover (m_early false));
+          Alcotest.test_case "early-opt" `Quick
+            (test_leader_crash_failover (m_early true));
         ] );
-      ( "validation",
-        [ Alcotest.test_case "create rejects" `Quick test_create_validation ] );
+      ("validation", validation_tests);
       ( "at-most-once",
-        [ Alcotest.test_case "deposits under retries" `Quick test_exactly_once_deposits ] );
+        [
+          Alcotest.test_case "deposits under retries" `Quick
+            (test_exactly_once_deposits
+               (Psmr_replica.Replica.Parallel
+                  { impl = Psmr_cos.Registry.Lockfree; workers = 2 }));
+          Alcotest.test_case "deposits under retries [early]" `Quick
+            (test_exactly_once_deposits (m_early false));
+          Alcotest.test_case "deposits under retries [early-opt]" `Quick
+            (test_exactly_once_deposits (m_early true));
+        ] );
       ( "simulated",
         [
           Alcotest.test_case "full deployment on sim" `Quick test_sim_deployment;
