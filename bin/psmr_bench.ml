@@ -197,8 +197,16 @@ let metrics_arg =
 let faults_conv =
   let parse s =
     match Psmr_fault.Schedule.parse s with
-    | Ok f -> Ok f
     | Error msg -> Error (`Msg msg)
+    | Ok f -> (
+        (* No subcommand runs the recovery harness, the one consumer of
+           replica crashes; [Smr.run] and [Pipeline.run] would reject it. *)
+        match Psmr_fault.Schedule.replica_crash_clause f with
+        | None -> Ok f
+        | Some clause ->
+            Error
+              (`Msg
+                (clause ^ ": replica crashes run only under the recovery harness")))
   in
   let print ppf f =
     Format.pp_print_string ppf (Psmr_fault.Schedule.to_string f)

@@ -15,8 +15,8 @@
       ready with no token to claim them — caught as a deadlock.
     - {!No_sentinel}: no mutation at all — the functor body itself {e is}
       the pre-hardening lock-free algorithm, without the self-sentinel
-      seeded into [dep_on] during insert (see the long comment in
-      [Psmr_cos.Lockfree.lf_insert]).  A remover can read the still-growing
+      seeded into [dep_on] during insert (see the long comment on
+      [Psmr_cos.Lf_graph.Make.fresh_node]).  A remover can read the still-growing
       dependency list, stall, and perform its promoting CAS only after the
       insert has published later live dependencies and opened the node —
       caught by the conflict-order oracle.  Pinned-seed replays of this

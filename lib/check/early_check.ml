@@ -234,7 +234,7 @@ let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
     else Psmr_fault.Fault.Run
   in
   let d =
-    ED.start_full ~max_size:sc.max_size ?classes:sc.classes ~repair:sc.repair
+    ED.start ~max_size:sc.max_size ?classes:sc.classes ~repair:sc.repair
       ?speculate ~on_commit ~fault ~workers:sc.workers ~execute ()
   in
   let inv ~strict () =

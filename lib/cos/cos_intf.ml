@@ -122,9 +122,5 @@ end
 module type IMPL = functor (P : Platform_intf.S) (C : COMMAND) ->
   S with type cmd = C.t
 
-(** A COS that needs key footprints (the indexed implementation). *)
-module type KEYED_IMPL = functor (P : Platform_intf.S) (C : KEYED_COMMAND) ->
-  S with type cmd = C.t
-
 (** Paper-default bound on the dependency graph (§7.2). *)
 let default_max_size = 150

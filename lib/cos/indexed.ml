@@ -1,13 +1,14 @@
 (** Key-indexed COS — the lock-free algorithm with an O(|footprint|)
     insert.
 
-    The concurrent side is exactly [Lockfree]: the same node states
-    ([Ins -> Wtg -> Rdy -> Exe -> Rmd]), the same nonblocking [get]/[remove]
-    over atomics, the same two-semaphore blocking layer.  What changes is
-    the single-threaded insert path.  Where the scan-based insert walks the
-    whole delivery list evaluating the conflict relation against every live
-    node — O(n·c) per insert, which is what saturates the insert thread in
-    the paper's Fig. 2 — the indexed insert keeps a private hash index
+    The concurrent side is [Lockfree]'s, shared through {!Lf_graph}: the
+    same node states ([Ins -> Wtg -> Rdy -> Exe -> Rmd]), the same
+    nonblocking [get]/[remove] over atomics, the same two-semaphore
+    blocking layer.  What changes is the single-threaded insert path.
+    Where the scan-based insert walks the whole delivery list evaluating
+    the conflict relation against every live node — O(n·c) per insert,
+    which is what saturates the insert thread in the paper's Fig. 2 — the
+    indexed insert keeps a private hash index
 
     {v  key -> { last writer; readers since that writer }  v}
 
@@ -33,9 +34,10 @@
     an unboundedly long physical list would creep back to O(n).  Both are
     reclaimed by a {e sweep} amortized into insert: after every
     [max_size/2] removals the insert thread walks the list once, physically
-    unlinking removed nodes exactly as [Lockfree]'s insert does, and prunes
-    dead index entries.  Each insert therefore pays O(|footprint|)
-    amortized, independent of graph population.
+    unlinking removed nodes with the same helped removal as [Lockfree]'s
+    insert ({!Lf_graph.Make.help_walk}), and prunes dead index entries.
+    Each insert therefore pays O(|footprint|) amortized, independent of
+    graph population.
 
     [insert_batch] additionally amortizes the blocking layer: one
     multi-token [space] acquisition and one [ready] release cover a whole
@@ -46,21 +48,7 @@ open Psmr_platform
 module Probe = Psmr_obs.Probe
 
 module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
-  type cmd = C.t
-
-  type status = Ins | Wtg | Rdy | Exe | Rmd
-
-  type node = {
-    cmd : cmd;
-    st : status P.Atomic.t;
-    dep_on : node list P.Atomic.t;  (* nodes this one depends on *)
-    dep_me : node list P.Atomic.t;  (* nodes that depend on this one *)
-    nxt : node option P.Atomic.t;  (* arrival order *)
-    mutable delivered_at : float;  (* virtual time of the insert call *)
-    mutable ready_at : float;  (* virtual time of promotion to Rdy *)
-  }
-
-  type handle = node
+  include Lf_graph.Make (P) (C)
 
   (* Insert-thread-private index entry for one key. *)
   type entry = {
@@ -68,13 +56,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
     mutable readers : node list;  (* readers since that writer *)
   }
 
-  type t = {
-    first : node option P.Atomic.t;
-    space : P.Semaphore.t;
-    ready : P.Semaphore.t;
-    size : int P.Atomic.t;
-    closed : bool P.Atomic.t;
-    close_tokens : int;
+  type keyed = {
     max_size : int;
     (* Everything below is touched only by the (single) insert thread. *)
     index : (int, entry) Hashtbl.t;
@@ -85,86 +67,19 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
     sweep_every : int;
   }
 
+  type t = keyed graph
+
   let name = "indexed"
 
-  let create ?(max_size = Cos_intf.default_max_size) ?(worker_bound = 1024) ()
-      =
-    if max_size <= 0 then invalid_arg "Indexed.create: max_size must be positive";
-    if worker_bound < 0 then
-      invalid_arg "Indexed.create: worker_bound must be non-negative";
-    {
-      first = P.Atomic.make None;
-      space = P.Semaphore.create max_size;
-      ready = P.Semaphore.create 0;
-      size = P.Atomic.make 0;
-      closed = P.Atomic.make false;
-      (* As in [Lockfree.close]: enough tokens for every blocked getter
-         plus the inserter's multi-token space acquisition. *)
-      close_tokens = max_size + worker_bound;
-      max_size;
-      index = Hashtbl.create 64;
-      tail = None;
-      removed = P.Atomic.make 0;
-      sweep_every = max 16 (max_size / 2);
-    }
-
-  let command (n : handle) = n.cmd
-
-  (* The concurrent machinery below is identical to [Lockfree]. *)
-
-  let test_ready (n : node) =
-    let deps = P.Atomic.get n.dep_on in
-    let all_removed =
-      List.for_all
-        (fun d ->
-          P.work Visit;
-          P.Atomic.get d.st = Rmd)
-        deps
-    in
-    if all_removed && P.Atomic.compare_and_set n.st Wtg Rdy then begin
-      n.ready_at <- Probe.now ();
-      Probe.ready_latency (n.ready_at -. n.delivered_at);
-      1
-    end
-    else 0
-
-  let lf_get t visits =
-    let rec walk = function
-      | None -> None
-      | Some n ->
-          P.work Visit;
-          incr visits;
-          if P.Atomic.compare_and_set n.st Rdy Exe then Some n
-          else walk (P.Atomic.get n.nxt)
-    in
-    walk (P.Atomic.get t.first)
-
-  let lf_remove (n : node) =
-    P.Atomic.set n.st Rmd;
-    let visits = ref 0 in
-    let promoted =
-      List.fold_left
-        (fun acc ni ->
-          incr visits;
-          acc + test_ready ni)
-        0 (P.Atomic.get n.dep_me)
-    in
-    (promoted, !visits)
-
-  (* Physically unlink [dead] (state [Rmd]); [prev_live] is the last
-     preceding live node.  Insert-thread only, as in [Lockfree]. *)
-  let helped_remove t (dead : node) (prev_live : node option) =
-    Probe.helped_removal ();
-    List.iter
-      (fun ni ->
-        P.work Visit;
-        let rest = List.filter (fun d -> d != dead) (P.Atomic.get ni.dep_on) in
-        P.Atomic.set ni.dep_on rest)
-      (P.Atomic.get dead.dep_me);
-    let successor = P.Atomic.get dead.nxt in
-    match prev_live with
-    | None -> P.Atomic.set t.first successor
-    | Some p -> P.Atomic.set p.nxt successor
+  let create =
+    create ~who:"Indexed" ~ext:(fun max_size ->
+        {
+          max_size;
+          index = Hashtbl.create 64;
+          tail = None;
+          removed = P.Atomic.make 0;
+          sweep_every = max 16 (max_size / 2);
+        })
 
   let live n = P.Atomic.get n.st <> Rmd
 
@@ -173,21 +88,9 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
      Runs on the insert thread, so plain reasoning applies to the topology
      and the hashtable. *)
   let sweep t visits =
-    let seen = P.Atomic.get t.removed in
-    let rec walk prev_live cur =
-      match cur with
-      | None -> prev_live
-      | Some n ->
-          P.work Visit;
-          incr visits;
-          let nxt = P.Atomic.get n.nxt in
-          if P.Atomic.get n.st = Rmd then begin
-            helped_remove t n prev_live;
-            walk prev_live nxt
-          end
-          else walk (Some n) nxt
-    in
-    t.tail <- walk None (P.Atomic.get t.first);
+    let x = t.ext in
+    let seen = P.Atomic.get x.removed in
+    x.tail <- help_walk t visits ignore;
     let dead_keys = ref [] in
     Hashtbl.iter
       (fun key e ->
@@ -197,36 +100,17 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
         | Some _ | None -> ());
         e.readers <- List.filter live e.readers;
         if e.writer = None && e.readers = [] then dead_keys := key :: !dead_keys)
-      t.index;
-    List.iter (Hashtbl.remove t.index) !dead_keys;
-    ignore (P.Atomic.fetch_and_add t.removed (-seen) : int)
+      x.index;
+    List.iter (Hashtbl.remove x.index) !dead_keys;
+    ignore (P.Atomic.fetch_and_add x.removed (-seen) : int)
 
   (* The indexed insert.  Returns the number of ready promotions (0 or 1)
      for the blocking layer to signal, as [Lockfree.lf_insert] does. *)
   let keyed_insert t c ~delivered_at =
+    let x = t.ext in
     let visits = ref 0 in
-    if P.Atomic.get t.removed >= t.sweep_every then sweep t visits;
-    P.work Alloc;
-    let nn =
-      {
-        cmd = c;
-        st = P.Atomic.make Ins; (* not promotable until fully inserted *)
-        dep_on = P.Atomic.make [];
-        dep_me = P.Atomic.make [];
-        nxt = P.Atomic.make None;
-        delivered_at;
-        ready_at = 0.0;
-      }
-    in
-    (* Promotion-stall guard: as soon as the first [dep_me] edge is in
-       place, a remover can invoke [test_ready nn].  The [Ins] state makes
-       its immediate CAS fail, but a remover that reads the (incomplete)
-       dependency list now and performs the CAS only after insert completes
-       would promote [nn] with live dependencies still unrecorded at read
-       time.  Seeding [dep_on] with [nn] itself — never [Rmd] during its
-       own insert — makes every such early read conclude "not removable";
-       the real list replaces the sentinel below, before [Wtg]. *)
-    P.Atomic.set nn.dep_on [ nn ];
+    if P.Atomic.get x.removed >= x.sweep_every then sweep t visits;
+    let nn = fresh_node c ~delivered_at in
     let deps = ref [] in
     let depend_on older =
       (* [older] may turn [Rmd] between this test and the edge store; that
@@ -241,11 +125,11 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
       (fun (key, is_write) ->
         P.work Hash;
         let e =
-          match Hashtbl.find_opt t.index key with
+          match Hashtbl.find_opt x.index key with
           | Some e -> e
           | None ->
               let e = { writer = None; readers = [] } in
-              Hashtbl.add t.index key e;
+              Hashtbl.add x.index key e;
               e
         in
         (match e.writer with
@@ -263,27 +147,13 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
         end
         else e.readers <- nn :: e.readers)
       (C.footprint c);
+    (* The real dependency list replaces the self-sentinel. *)
     P.Atomic.set nn.dep_on !deps;
-    (match t.tail with
-    | None -> P.Atomic.set t.first (Some nn) (* linearization point *)
-    | Some p -> P.Atomic.set p.nxt (Some nn));
-    t.tail <- Some nn;
-    ignore (P.Atomic.fetch_and_add t.size 1 : int);
-    (* Every edge is in place: open the node for promotion and re-examine
-       it ourselves (a remover may have tried and failed meanwhile). *)
-    P.Atomic.set nn.st Wtg;
-    Probe.insert_done ~visits:!visits;
-    test_ready nn
+    append t x.tail nn;
+    x.tail <- Some nn;
+    open_node nn ~visits:!visits
 
-  (* Blocking layer (Algorithm 5), as [Lockfree]. *)
-
-  let insert t c =
-    let delivered_at = Probe.now () in
-    P.Semaphore.acquire t.space;
-    if not (P.Atomic.get t.closed) then begin
-      let promoted = keyed_insert t c ~delivered_at in
-      if promoted > 0 then P.Semaphore.release ~n:promoted t.ready
-    end
+  let insert t c = insert_with keyed_insert t c
 
   (* One semaphore round per chunk instead of per command; chunks are capped
      at [max_size] so the multi-token acquisition stays satisfiable. *)
@@ -292,7 +162,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
     let len = Array.length cs in
     let rec chunks off =
       if off < len then begin
-        let n = min t.max_size (len - off) in
+        let n = min t.ext.max_size (len - off) in
         P.Semaphore.acquire ~n t.space;
         if not (P.Atomic.get t.closed) then begin
           let promoted = ref 0 in
@@ -306,151 +176,38 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
     in
     chunks 0
 
-  let get t =
-    P.Semaphore.acquire t.ready;
-    let visits = ref 0 in
-    let rec attempt () =
-      match lf_get t visits with
-      | Some n ->
-          Probe.dispatch_latency (Probe.now () -. n.ready_at);
-          Probe.get_done ~visits:!visits;
-          Some n
-      | None ->
-          if P.Atomic.get t.closed && P.Atomic.get t.size = 0 then begin
-            Probe.get_done ~visits:!visits;
-            None
-          end
-          else begin
-            Probe.rescan ();
-            P.yield ();
-            attempt ()
-          end
-    in
-    attempt ()
-
+  (* [Lf_graph.remove] plus the removed-since-sweep count, bumped between
+     the size decrement and the semaphore releases. *)
   let remove t n =
     let promoted, visits = lf_remove n in
     ignore (P.Atomic.fetch_and_add t.size (-1) : int);
-    ignore (P.Atomic.fetch_and_add t.removed 1 : int);
+    ignore (P.Atomic.fetch_and_add t.ext.removed 1 : int);
     if promoted > 0 then P.Semaphore.release ~n:promoted t.ready;
     P.Semaphore.release t.space;
     Probe.remove_done ~visits
 
-  (* Demote a reserved node back to [Rdy] (dead-worker recovery); see the
-     matching comment in [Lockfree.requeue].  The index is untouched: the
-     node never left it. *)
-  let requeue t n =
-    if not (P.Atomic.compare_and_set n.st Exe Rdy) then
-      invalid_arg "Indexed.requeue: command not reserved";
-    n.ready_at <- Probe.now ();
-    Probe.requeue ();
-    P.Semaphore.release t.ready
-
-  let close t =
-    if not (P.Atomic.exchange t.closed true) then begin
-      Probe.close_tokens (2 * t.close_tokens);
-      P.Semaphore.release ~n:t.close_tokens t.ready;
-      P.Semaphore.release ~n:t.close_tokens t.space
-    end
-
-  let pending t = P.Atomic.get t.size
-
-  (* Read-only structural check (see {!Cos_intf.S.invariant}): the
-     [Lockfree] checks on the shared list, plus index closure.  The index
-     is insert-thread-private, but on the check platform a decision point
-     can fall mid-insert: a node may already sit in the index while still
-     [Ins] and not yet linked, so linkage checks skip [Ins] nodes. *)
-  let invariant ?(strict = false) t =
-    let errs = ref [] in
-    let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-    let cap = 1_000_000 in
-    let rec collect acc n visits =
-      if visits > cap then begin
-        err "traversal exceeded %d nodes: cycle suspected" cap;
-        List.rev acc
-      end
-      else
-        match n with
-        | None -> List.rev acc
-        | Some n -> collect (n :: acc) (P.Atomic.get n.nxt) (visits + 1)
-    in
-    let nodes = collect [] (P.Atomic.get t.first) 0 in
-    let n_nodes = List.length nodes in
-    if n_nodes <= 4096 then begin
-      let rec dup = function
-        | [] -> false
-        | n :: rest -> List.memq n rest || dup rest
-      in
-      if dup nodes then err "a node is physically linked more than once"
-    end;
-    let inserting =
-      List.fold_left
-        (fun acc n -> if P.Atomic.get n.st = Ins then acc + 1 else acc)
-        0 nodes
-    in
-    if inserting > 1 then
-      err "%d nodes in the Ins state (single-inserter discipline broken)"
-        inserting;
-    let show = function
-      | Ins -> "Ins"
-      | Wtg -> "Wtg"
-      | Rdy -> "Rdy"
-      | Exe -> "Exe"
-      | Rmd -> "Rmd"
-    in
-    List.iter
-      (fun n ->
-        match P.Atomic.get n.st with
-        | (Rdy | Exe) as s ->
-            List.iter
-              (fun d ->
-                let ds = P.Atomic.get d.st in
-                if ds <> Rmd then
-                  err "node promoted while a dependency is still live (%s %s depends on %s %s)"
-                    (show s)
-                    (Format.asprintf "%a" C.pp n.cmd)
-                    (show ds)
-                    (Format.asprintf "%a" C.pp d.cmd))
-              (P.Atomic.get n.dep_on)
-        | Ins | Wtg | Rmd -> ())
-      nodes;
-    let size = P.Atomic.get t.size in
-    if size < 0 then err "negative size %d" size;
-    if P.Atomic.get t.removed < 0 then err "negative removed-since-sweep count";
-    if strict then begin
-      let live_count =
-        List.fold_left
-          (fun acc n -> if P.Atomic.get n.st <> Rmd then acc + 1 else acc)
-          0 nodes
-      in
-      if live_count <> size then
-        err "live node count %d <> size %d" live_count size;
-      List.iter
-        (fun n ->
-          List.iter
-            (fun d ->
-              if not (List.memq d nodes) then
-                err "dependency edge to an unlinked node")
-            (P.Atomic.get n.dep_on))
-        nodes;
-      if n_nodes <= 4096 then begin
-        (* Index closure: every live, fully inserted node the index can
-           hand out as a dependency must still be physically linked. *)
-        let check_indexed what n =
-          match P.Atomic.get n.st with
-          | Ins | Rmd -> ()
-          | Wtg | Rdy | Exe ->
-              if not (List.memq n nodes) then
-                err "index %s points to a live but unlinked node" what
-        in
-        Hashtbl.iter
-          (fun _key e ->
-            (match e.writer with
-            | Some w -> check_indexed "writer" w
-            | None -> ());
-            List.iter (check_indexed "reader") e.readers)
-          t.index
-      end
-    end;
-    List.rev !errs
+  (* The shared list checks plus index closure.  The index is
+     insert-thread-private, but on the check platform a decision point can
+     fall mid-insert: a node may already sit in the index while still [Ins]
+     and not yet linked, so linkage checks skip [Ins] nodes. *)
+  let invariant ?strict t =
+    invariant ?strict t ~extra:(fun ~strict ~err nodes ->
+        if P.Atomic.get t.ext.removed < 0 then
+          err "negative removed-since-sweep count";
+        if strict && List.length nodes <= 4096 then begin
+          (* Index closure: every live, fully inserted node the index can
+             hand out as a dependency must still be physically linked. *)
+          let check_indexed what n =
+            match P.Atomic.get n.st with
+            | Ins | Rmd -> ()
+            | Wtg | Rdy | Exe ->
+                if not (List.memq n nodes) then
+                  err ("index " ^ what ^ " points to a live but unlinked node")
+          in
+          Hashtbl.iter
+            (fun _key e ->
+              Option.iter (check_indexed "writer") e.writer;
+              List.iter (check_indexed "reader") e.readers)
+            t.ext.index
+        end)
 end

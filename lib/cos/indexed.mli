@@ -1,5 +1,6 @@
-(** Key-indexed COS: the lock-free algorithm (Algorithms 5–7) with the
-    O(n·c) insert scan replaced by a private key → last-writer/readers hash
+(** Key-indexed COS: the lock-free graph and blocking layer of
+    {!Lf_graph} (shared with {!Lockfree}) under a different insert — the
+    O(n·c) scan is replaced by a private key → last-writer/readers hash
     index over the commands' declared footprints, so dependency edges are
     found in O(|footprint|) amortized, independent of graph population.
     Dead index entries and removed nodes are reclaimed by a sweep amortized

@@ -763,66 +763,51 @@ struct
     let q = t.queues.(i - 1) in
     match q_next t q with
     | Closed -> Latch.count_down t.joined
-    | Speculative tok -> (
-        let nth = nth + 1 in
-        match t.fault ~id:i ~nth with
-        | Psmr_fault.Fault.Crash { respawn_after } ->
-            P.work Fault;
-            q_push_front q tok;
-            Probe.requeue ();
-            ignore (P.Atomic.fetch_and_add t.crashed 1 : int);
-            (match respawn_after with
-            | None -> Latch.count_down t.joined
-            | Some d -> P.after d (worker_loop t i nth))
-        | (Run | Stall _ | Slow _) as action ->
-            (match action with
-            | Stall d ->
-                P.work Fault;
-                P.sleep d
-            | Run | Slow _ | Crash _ -> ());
-            run_spec t q tok;
-            (match action with
-            | Slow d ->
-                P.work Fault;
-                P.sleep d
-            | Run | Stall _ | Crash _ -> ());
-            worker_loop t i nth ())
-    | Fetched tok -> (
-        let nth = nth + 1 in
-        match t.fault ~id:i ~nth with
-        | Psmr_fault.Fault.Crash { respawn_after } ->
-            P.work Fault;
-            q_push_front q tok;
-            Probe.requeue ();
-            ignore (P.Atomic.fetch_and_add t.crashed 1 : int);
-            (match respawn_after with
-            | None -> Latch.count_down t.joined
-            | Some d -> P.after d (worker_loop t i nth))
-        | (Run | Stall _ | Slow _) as action ->
-            (match action with
-            | Stall d ->
-                P.work Fault;
-                P.sleep d
-            | Run | Slow _ | Crash _ -> ());
-            (match tok.t_entry.e_barrier with
+    | Speculative tok ->
+        under_fault t i (nth + 1) q tok (fun () -> run_spec t q tok)
+    | Fetched tok ->
+        under_fault t i (nth + 1) q tok (fun () ->
+            match tok.t_entry.e_barrier with
             | None -> run_entry t tok.t_entry
             | Some b -> (
                 match B.arrive b ~worker:i with
                 | `Execute ->
                     run_entry t tok.t_entry;
                     B.complete b
-                | `Done -> ()));
-            (match action with
-            | Slow d ->
-                P.work Fault;
-                P.sleep d
-            | Run | Stall _ | Crash _ -> ());
-            worker_loop t i nth ())
+                | `Done -> ()))
+
+  (* Run [tok], this core's [nth] fetch, under the fault plan's verdict:
+     a crash returns the token to the front of its queue and the worker
+     leaves the pool (until its respawn, if scheduled); a stall sleeps
+     before [run], a slowdown after it. *)
+  and under_fault t i nth q tok run =
+    match t.fault ~id:i ~nth with
+    | Psmr_fault.Fault.Crash { respawn_after } -> (
+        P.work Fault;
+        q_push_front q tok;
+        Probe.requeue ();
+        ignore (P.Atomic.fetch_and_add t.crashed 1 : int);
+        match respawn_after with
+        | None -> Latch.count_down t.joined
+        | Some d -> P.after d (worker_loop t i nth))
+    | (Run | Stall _ | Slow _) as action ->
+        (match action with
+        | Stall d ->
+            P.work Fault;
+            P.sleep d
+        | Run | Slow _ | Crash _ -> ());
+        run ();
+        (match action with
+        | Slow d ->
+            P.work Fault;
+            P.sleep d
+        | Run | Stall _ | Crash _ -> ());
+        worker_loop t i nth ()
 
   (* ---------------------------------------------------------------- *)
   (* Life cycle.                                                       *)
 
-  let start_full ?max_size ?classes ?(repair = true) ?speculate ?on_commit
+  let start ?max_size ?classes ?(repair = true) ?speculate ?on_commit
       ?fault ~workers ~execute () =
     if workers <= 0 then invalid_arg "Dispatch.start: workers must be positive";
     let max_size =
@@ -888,9 +873,6 @@ struct
       P.spawn ~name:(Printf.sprintf "worker-%d" i) (worker_loop t i 0)
     done;
     t
-
-  let start ?max_size ~workers ~execute () =
-    start_full ?max_size ~workers ~execute ()
 
   let submitted t = P.Atomic.get t.submitted
   let executed t = P.Atomic.get t.executed

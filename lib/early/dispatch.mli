@@ -5,10 +5,10 @@
     rolls back (undo, then re-execute in committed order) on a
     confirmation mismatch.
 
-    Implements {!Psmr_sched.Sched_intf.BACKEND} (via {!Make.start} with
-    default configuration) plus the early-specific surface: configured
-    startup ({!Make.start_full}), the optimistic submit/confirm protocol,
-    and ghost diagnostics for the checker.
+    Offers the COS scheduler's surface and contract
+    ({!Psmr_sched.Scheduler.Make}: [start]/[submit]/.../[shutdown]), with
+    early-specific options on {!Make.start}, plus the optimistic
+    submit/confirm protocol and ghost diagnostics for the checker.
 
     Single-threaded submit contract: {!Make.submit}, {!Make.submit_batch},
     {!Make.submit_optimistic} and {!Make.confirm} must all be called from
@@ -23,7 +23,7 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
 
   val name : string
 
-  val start_full :
+  val start :
     ?max_size:int ->
     ?classes:int ->
     ?repair:bool ->
@@ -53,10 +53,6 @@ module Make (P : Platform_intf.S) (C : Psmr_cos.Cos_intf.KEYED_COMMAND) : sig
       confirmation, and a repair merely revokes and re-appends.  With
       [speculate], execution itself is optimistic and a repair becomes
       undo + re-execute. *)
-
-  val start : ?max_size:int -> workers:int -> execute:(cmd -> unit) -> unit -> t
-  (** [start_full] with default configuration — the
-      {!Psmr_sched.Sched_intf.BACKEND} entry point. *)
 
   val submit : t -> cmd -> unit
   (** Final-order submission: plan, append confirmed tokens, and repair

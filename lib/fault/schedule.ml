@@ -199,6 +199,15 @@ let parse_exn spec =
 
 let num f = Printf.sprintf "%.9g" f
 
+let replica_clause (e : replica_event) =
+  match e.recover_after with
+  | None -> Printf.sprintf "replica-crash=%d@%s" e.replica (num e.at)
+  | Some d ->
+      Printf.sprintf "replica-crash=%d@%s+%s" e.replica (num e.at) (num d)
+
+let replica_crash_clause t =
+  Option.map replica_clause (List.nth_opt t.replicas 0)
+
 let to_string t =
   let b = Buffer.create 64 in
   let add fmt = Printf.ksprintf (fun s ->
@@ -220,10 +229,5 @@ let to_string t =
       | Stall d -> add "worker-stall=%d@%s:%s" e.worker (num e.at) (num d)
       | Slow x -> add "worker-slow=%d@%s:%s" e.worker (num e.at) (num x))
     t.workers;
-  List.iter
-    (fun (e : replica_event) ->
-      match e.recover_after with
-      | None -> add "replica-crash=%d@%s" e.replica (num e.at)
-      | Some d -> add "replica-crash=%d@%s+%s" e.replica (num e.at) (num d))
-    t.replicas;
+  List.iter (fun e -> add "%s" (replica_clause e)) t.replicas;
   Buffer.contents b

@@ -60,6 +60,12 @@ val parse : string -> (t, string) result
 val parse_exn : string -> t
 (** @raise Invalid_argument on a malformed spec. *)
 
+val replica_crash_clause : t -> string option
+(** The first [replica-crash] clause, rendered as in {!to_string}; [None]
+    when the schedule crashes no replica.  Only the recovery harness
+    injects replica crashes, so every other entry point rejects a schedule
+    that has one. *)
+
 val to_string : t -> string
 (** Canonical, re-parseable form: [parse (to_string t)] re-reads [t] (up to
     float formatting). *)

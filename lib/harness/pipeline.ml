@@ -260,6 +260,9 @@ let validate c =
   (match c.driver with
   | Open_loop o when c.batch > o.queue_cap -> fail "need batch <= queue_cap"
   | _ -> ());
+  Option.iter
+    (fun clause -> fail (clause ^ ": replica crashes run only under Recovery"))
+    (Psmr_fault.Schedule.replica_crash_clause c.faults);
   match c.ordering with
   | Direct -> ()
   | Partition { partitions; _ } ->
@@ -434,7 +437,7 @@ let run ?(metrics = false) ?(trace = false)
         let module D = Psmr_early.Dispatch.Make (SP) (Cmd) in
         let d, speculate =
           if not cfg.optimistic then
-            ( D.start_full ?max_size ?classes:cfg.classes ~workers:c.workers
+            ( D.start ?max_size ?classes:cfg.classes ~workers:c.workers
                 ~execute (),
               None )
           else begin
@@ -443,7 +446,7 @@ let run ?(metrics = false) ?(trace = false)
                (the rollback sweep already charges dispatcher work), and
                only commits count as completed. *)
             let d =
-              D.start_full ?max_size ?classes:cfg.classes
+              D.start ?max_size ?classes:cfg.classes
                 ~speculate:(fun cmd ->
                   exec_cost cmd;
                   fun () -> ())

@@ -189,8 +189,9 @@ val run :
 
     Raises [Invalid_argument] for a non-positive [batch], an open-loop
     [batch] above [queue_cap], fewer than one partition, a partitioned
-    [batch] above the credit window, or an optimistic backend under
-    [Partition]. *)
+    [batch] above the credit window, an optimistic backend under
+    [Partition], or [faults] that crash a replica (the message names the
+    clause; only {!Recovery} injects replica crashes). *)
 
 val standalone :
   ?batch:int ->

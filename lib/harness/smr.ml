@@ -25,6 +25,11 @@ let run ~(mode : Psmr_replica.Replica.mode) ~(spec : Psmr_workload.Workload.spec
     ~clients ?(cmds_per_request = default_cmds_per_request)
     ?(duration = default_duration) ?(warmup = default_warmup) ?(seed = 7L)
     ?(faults = Psmr_fault.Schedule.empty) () =
+  Option.iter
+    (fun clause ->
+      invalid_arg
+        ("Smr.run: " ^ clause ^ ": replica crashes run only under Recovery"))
+    (Psmr_fault.Schedule.replica_crash_clause faults);
   let engine = Psmr_sim.Engine.create () in
   let (module SP) = Psmr_sim.Sim_platform.make engine Model.sim_costs in
   (* Arm the fault plan for the whole deployment: network faults fire in

@@ -177,7 +177,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
     let d, submit, submit_batch =
       match speculate with
       | None ->
-          let d = D.start_full ?max_size ?classes ~workers ~execute:apply () in
+          let d = D.start ?max_size ?classes ~workers ~execute:apply () in
           (d, D.submit d, D.submit_batch d)
       | Some opt_execute ->
           let stash : (int * int, S.response) Hashtbl.t = Hashtbl.create 64 in
@@ -199,7 +199,7 @@ module Make (P : Platform_intf.S) (S : Psmr_app.Service_intf.S) = struct
             reply e (Option.get resp)
           in
           let d =
-            D.start_full ?max_size ?classes ~speculate:run ~on_commit ~workers
+            D.start ?max_size ?classes ~speculate:run ~on_commit ~workers
               ~execute:(fun e -> ignore (run e : unit -> unit))
               ()
           in

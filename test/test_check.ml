@@ -86,6 +86,16 @@ let clean_random impl () =
       Alcotest.(check int) "all complete" 0 r.Explore.incomplete)
     [ true; false ]
 
+(* Every simulated atomic is a decision point, so the exact size of the
+   bounded tree pins the sequence of shared-memory operations of the two
+   lock-free COSes: a refactor of their common graph that reorders,
+   adds or drops one atomic moves these counts. *)
+let dfs_pins =
+  [
+    (Psmr_cos.Registry.Lockfree, (4228, 245714));
+    (Psmr_cos.Registry.Indexed, (3984, 222502));
+  ]
+
 let exhaustive_dfs impl () =
   let s =
     sc ~target:(Cos_check.Impl impl) ~workers:2 ~commands:2 ~write_pct:100.0 ()
@@ -94,7 +104,14 @@ let exhaustive_dfs impl () =
   Alcotest.(check bool) "bounded tree exhausted" true r.Explore.exhausted;
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
   Alcotest.(check bool) "explored more than one schedule" true
-    (r.Explore.distinct > 100)
+    (r.Explore.distinct > 100);
+  match List.assoc_opt impl dfs_pins with
+  | Some (distinct, decisions) ->
+      Alcotest.(check int) "distinct schedules (pinned)" distinct
+        r.Explore.distinct;
+      Alcotest.(check int) "decision points (pinned)" decisions
+        r.Explore.decisions
+  | None -> ()
 
 (* --- planted bugs are caught, with replayable seeds --- *)
 
@@ -155,8 +172,8 @@ let test_lost_signal_caught () =
    does not seed [dep_on] with the node itself, so a remover that reads the
    still-growing dependency list, stalls, and performs its promoting CAS
    only after the insert has opened the node promotes it over live
-   dependencies recorded after the read (see the lf_insert comment in
-   lib/cos/lockfree.ml).  Uniform random walks essentially never hit the
+   dependencies recorded after the read (see the fresh_node comment in
+   lib/cos/lf_graph.ml).  Uniform random walks essentially never hit the
    window — it takes three precise preemptions separated by long
    same-process stretches — so the schedule is driven by a sticky seeded
    picker: with 85% probability keep running the process that ran last,

@@ -695,7 +695,7 @@ let sim_schedule_equivalence impl =
         (fun exp r -> match r with Some r -> r = exp | None -> false)
         expected responses)
 
-(* Regression for the Algorithm-7 promotion race (see lockfree.ml header
+(* Regression for the Algorithm-7 promotion race (see lf_graph.ml header
    and EXPERIMENTS.md): the shrunk counterexample — [Put; Gets; Put] on one
    key with 3 workers — swept across many random virtual schedules.  Before
    the [Ins]-state fix, the trailing Put could execute while earlier Gets

@@ -132,7 +132,7 @@ let test_dispatch_rw_one_class workers () =
     Thread.yield ();
     Atomic.decr inside
   in
-  let d = D.start_full ~classes:1 ~workers ~execute () in
+  let d = D.start ~classes:1 ~workers ~execute () in
   let rng = Psmr_util.Rng.create ~seed:34L in
   let writes = ref 0 in
   for i = 0 to 799 do
@@ -188,7 +188,7 @@ let test_dispatch_cross_class_total_order () =
   let execute (c : Fc.t) =
     if Atomic.exchange last c.Fc.idx >= c.Fc.idx then Atomic.set ok false
   in
-  let d = D.start_full ~workers:4 ~execute () in
+  let d = D.start ~workers:4 ~execute () in
   let all = [ (0, true); (1, true); (2, true); (3, true) ] in
   for i = 0 to 199 do
     D.submit d { Fc.idx = i; fp = all }
@@ -218,7 +218,7 @@ let test_dispatch_equivalent_to_sequential () =
     let _, real = cmds.(c.Fc.idx) in
     responses.(c.Fc.idx) <- Some (Psmr_app.Linked_list.execute par_list real)
   in
-  let d = D.start_full ~classes:1 ~workers:6 ~execute () in
+  let d = D.start ~classes:1 ~workers:6 ~execute () in
   Array.iter
     (fun (i, c) ->
       D.submit d
@@ -269,7 +269,7 @@ let test_optimistic_repair_equivalence () =
   let execute ((i, c) : KC.t) =
     responses.(i) <- Some (Psmr_app.Kv_store.execute par_store c)
   in
-  let d = ED.start_full ~workers:4 ~execute () in
+  let d = ED.start ~workers:4 ~execute () in
   let srng = Psmr_util.Rng.create ~seed:37L in
   let specs = Array.make n None in
   let base = ref 0 in
@@ -299,7 +299,7 @@ let test_optimistic_repair_equivalence () =
   Alcotest.(check (list string)) "strict invariant" [] (ED.invariant ~strict:true d)
 
 let test_optimistic_double_confirm_rejected () =
-  let d = D.start_full ~workers:2 ~execute:(fun _ -> ()) () in
+  let d = D.start ~workers:2 ~execute:(fun _ -> ()) () in
   let s = D.submit_optimistic d { Fc.idx = 0; fp = [ (0, true) ] } in
   D.confirm d s;
   (match D.confirm d s with
@@ -315,7 +315,7 @@ let test_optimistic_sim_deterministic () =
     let module SD = Psmr_early.Dispatch.Make (SP) (Fc) in
     let executed_at = ref 0.0 in
     Engine.spawn e (fun () ->
-        let d = SD.start_full ~workers:8 ~execute:(fun _ -> SP.sleep 1e-5) () in
+        let d = SD.start ~workers:8 ~execute:(fun _ -> SP.sleep 1e-5) () in
         let rng = Psmr_util.Rng.create ~seed:38L in
         let srng = Psmr_util.Rng.create ~seed:39L in
         let block = 8 in
@@ -538,7 +538,7 @@ let list_equivalence =
         let responses = Array.make n None in
         let d =
           (* classes:1 so the single-variable service still spreads reads. *)
-          ED.start_full ~classes:1 ~workers
+          ED.start ~classes:1 ~workers
             ~execute:(fun (i, c) ->
               responses.(i) <- Some (Psmr_app.Linked_list.execute l c))
             ()
@@ -638,7 +638,7 @@ let kv_opt_equivalence =
           fun () -> Psmr_app.Kv_store.undo store u
         in
         let d =
-          ED.start_full ~workers ~speculate
+          ED.start ~workers ~speculate
             ~execute:(fun (i, c) ->
               responses.(i) <- Some (Psmr_app.Kv_store.execute store c))
             ()
@@ -719,7 +719,7 @@ let bank_opt_equivalence =
           fun () -> Psmr_app.Bank.undo bank u
         in
         let d =
-          ED.start_full ~workers ~speculate
+          ED.start ~workers ~speculate
             ~execute:(fun (i, c) ->
               responses.(i) <- Some (Psmr_app.Bank.execute bank c))
             ()
@@ -795,7 +795,7 @@ let list_opt_equivalence =
         in
         let d =
           (* classes:1 so the single-variable service still spreads reads. *)
-          ED.start_full ~classes:1 ~workers ~speculate
+          ED.start ~classes:1 ~workers ~speculate
             ~execute:(fun (i, c) ->
               responses.(i) <- Some (Psmr_app.Linked_list.execute l c))
             ()
@@ -831,7 +831,7 @@ let test_optimistic_zero_mis_fast_path () =
     Atomic.incr spec_runs;
     Fun.id
   in
-  let d = D.start_full ~workers:4 ~speculate ~execute:(fun _ -> ()) () in
+  let d = D.start ~workers:4 ~speculate ~execute:(fun _ -> ()) () in
   let cmd i = { Fc.idx = i; fp = [ (i mod 8, i mod 4 = 0) ] } in
   (* Pipeline a block ahead, confirming in the same order as submission —
      a 0%-mis stream with real overlap between speculation and

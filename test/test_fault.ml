@@ -192,6 +192,30 @@ let test_standalone_faulty_replayable () =
   Alcotest.(check int) "crash happened" 1 a.crashed_workers;
   Alcotest.(check bool) "faults fired" true (a.faults_injected >= 2)
 
+(* Only the recovery harness consumes replica crashes; every other entry
+   point must refuse the clause instead of running as if fault-free. *)
+let replica_crash = "seed=4,replica-crash=0@0.01+0.02"
+
+let rejected_msg =
+  "replica-crash=0@0.01+0.02: replica crashes run only under Recovery"
+
+let test_pipeline_rejects_replica_crash () =
+  Alcotest.check_raises "Pipeline.run"
+    (Invalid_argument ("Pipeline.run: " ^ rejected_msg))
+    (fun () ->
+      ignore (standalone ~faults:(Schedule.parse_exn replica_crash) ()))
+
+let test_smr_rejects_replica_crash () =
+  Alcotest.check_raises "Smr.run"
+    (Invalid_argument ("Smr.run: " ^ rejected_msg))
+    (fun () ->
+      ignore
+        (Psmr_harness.Smr.run
+           ~mode:(Psmr_replica.Replica.Parallel
+                    { impl = Psmr_cos.Registry.Lockfree; workers = 2 })
+           ~spec:spec10 ~clients:2 ~duration:0.01 ~warmup:0.0
+           ~faults:(Schedule.parse_exn replica_crash) ()))
+
 (* --- recovery equivalence: crashed + recovered replica ends byte-identical
    to the fault-free run, across every COS implementation and service --- *)
 
@@ -377,6 +401,10 @@ let () =
             test_standalone_zero_perturbation;
           Alcotest.test_case "faulty run replayable" `Quick
             test_standalone_faulty_replayable;
+          Alcotest.test_case "replica crash rejected by Pipeline" `Quick
+            test_pipeline_rejects_replica_crash;
+          Alcotest.test_case "replica crash rejected by Smr" `Quick
+            test_smr_rejects_replica_crash;
         ] );
       ( "recovery",
         [
