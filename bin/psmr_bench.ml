@@ -567,14 +567,19 @@ let open_loop_cmd =
       (Pipeline.target_label ordering backend)
       workers
       (Format.asprintf "%a" Psmr_traffic.Scenario.pp_spec scenario);
-    Printf.printf "%10s %10s %7s %12s %12s %12s %8s\n" "offered" "kops"
-      "drop%" "p50(ms)" "p99(ms)" "p999(ms)" "queue";
+    Printf.printf "%10s %10s %7s %8s %12s %12s %12s %8s\n" "offered" "kops"
+      "drop%" "samples" "p50(ms)" "p99(ms)" "p999(ms)" "queue";
     List.iter
       (fun (s : Pipeline.result) ->
-        Printf.printf "%10.1f %10.1f %7.2f %12.4f %12.4f %12.4f %8d\n"
+        (* A step whose window completed no command born in it has no
+           latency to report, which is not a latency of 0. *)
+        let ms q =
+          if s.samples = 0 then "-" else Printf.sprintf "%.4f" (q *. 1e3)
+        in
+        Printf.printf "%10.1f %10.1f %7.2f %8d %12s %12s %12s %8d\n"
           s.offered_kops s.kops
           (100.0 *. s.drop_rate)
-          (s.p50 *. 1e3) (s.p99 *. 1e3) (s.p999 *. 1e3) s.queue_peak)
+          s.samples (ms s.p50) (ms s.p99) (ms s.p999) s.queue_peak)
       steps;
     match Pipeline.knee steps with
     | Some k -> Printf.printf "saturation knee: %.1f kops offered\n" k

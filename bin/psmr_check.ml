@@ -222,9 +222,11 @@ let max_schedules_arg =
     value & opt int 100_000
     & info [ "max-schedules" ] ~docv:"N" ~doc:"DFS schedule cap.")
 
+let default_max_steps = 50_000
+
 let max_steps_arg =
   Arg.(
-    value & opt int 50_000
+    value & opt int default_max_steps
     & info [ "max-steps" ] ~docv:"N"
         ~doc:"Decision points per schedule before the run is truncated.")
 
@@ -316,7 +318,7 @@ let trace_out_arg =
 (* The replayed oplog as a Chrome trace: decision points become the time
    axis (virtual time never advances under the checker), one 1 microsecond
    slice per operation on the acting process's track. *)
-let write_oplog_trace ~path (o : Check.Cos_check.outcome) =
+let write_oplog_trace ~path (o : Check.Explore.outcome) =
   let tr = Psmr_obs.Trace.create () in
   Psmr_obs.Trace.set_process_name tr ~pid:Psmr_obs.Probe.proc_pid "processes";
   List.iteri
@@ -347,8 +349,8 @@ let run target workers commands writes keys cross mis spec max_size no_drain
     crashes no_respawn workload_seed seed schedules dfs bound max_schedules
     max_steps time_box stop_on_first expect_violation replay trace_out =
   let name = target_name target in
-  (* One runner closure per target family; both produce the shared
-     [Cos_check.outcome], so the exploration drivers below don't care which
+  (* One runner closure per target family; all produce the shared
+     [Explore.outcome], so the exploration drivers below don't care which
      family they are exercising. *)
   let run_schedule ~trace ~pick =
     match target with
@@ -400,6 +402,10 @@ let run target workers commands writes keys cross mis spec max_size no_drain
             ^ String.concat ","
                 (List.map (fun (w, k) -> Printf.sprintf "%d:%d" w k) cs));
         (if no_respawn then " --no-respawn" else "");
+        (* A truncated failure replays only under the same step bound. *)
+        (if max_steps <> default_max_steps then
+           Printf.sprintf " --max-steps %d" max_steps
+         else "");
       ]
   in
   (* [dirty = true] when an oracle fired; --expect-violation flips which
@@ -416,9 +422,7 @@ let run target workers commands writes keys cross mis spec max_size no_drain
   match replay with
   | Some s ->
       let o =
-        Check.Explore.replay_with
-          ~run:(fun ~pick -> run_schedule ~trace:true ~pick)
-          ~seed:s ()
+        Check.Explore.replay ~run:(run_schedule ~trace:true) ~seed:s
       in
       Printf.printf "replaying seed %Ld on %s: %d decision points%s\n" s name
         o.decisions
@@ -441,14 +445,11 @@ let run target workers commands writes keys cross mis spec max_size no_drain
       in
       let r =
         if dfs then
-          Check.Explore.dfs_with ?deadline ~max_schedules
-            ~preemption_bound:bound ~stop_on_first
-            ~run:(fun ~pick -> run_schedule ~trace:false ~pick)
-            ()
+          Check.Explore.dfs ?deadline ~max_schedules ~preemption_bound:bound
+            ~stop_on_first ~run:(run_schedule ~trace:false) ()
         else
-          Check.Explore.random_walk_with ?deadline ~stop_on_first
-            ~run:(fun ~pick -> run_schedule ~trace:false ~pick)
-            ~seed ~schedules ()
+          Check.Explore.random_walk ?deadline ~stop_on_first
+            ~run:(run_schedule ~trace:false) ~seed ~schedules ()
       in
       Printf.printf
         "%s: %d schedules (%d distinct), %d decision points, %d truncated, \

@@ -8,9 +8,11 @@
     maintains per-process vector clocks across all synchronization edges
     and reports unordered plain [Atomic.set] stores as data races.
 
-    Usage: create an engine, [create] a context, [make] the platform
-    module, spawn the scenario's processes through the platform, install a
-    picker, then [Engine.run].  See [Cos_check] for the COS harness. *)
+    Usage: [Explore.run] creates the engine and the context, [make]s the
+    platform module and hands both to a scenario body, which spawns its
+    processes through the platform; [Explore.run] then installs the picker
+    and runs the engine.  See [Cos_check], [Early_check] and
+    [Partition_check] for the scenario bodies. *)
 
 module Engine = Psmr_sim.Engine
 

@@ -32,7 +32,6 @@
     - {b happens-before races} on instrumented cells and the dispatcher's
       {b structural invariants} (ghost snapshots; strict at quiescence). *)
 
-module Engine = Psmr_sim.Engine
 
 (* Commands as the dispatcher sees them: an index in final delivery order
    plus an explicit key footprint; conflict iff a shared key with at least
@@ -135,25 +134,11 @@ let scenario ?(workers = 3) ?classes ?(commands = 10) ?(keys = 4)
    leaves a value no correct history can produce. *)
 let mix v i = (v * 1_000_003) + i + 1
 
-let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
-    ~(pick : last:int -> int array -> int) : Cos_check.outcome =
-  let engine = Engine.create () in
-  let ctx = Check_platform.create engine in
-  Check_platform.set_tracing ctx trace;
-  let registry =
-    if metrics then
-      Some
-        (Psmr_obs.Metrics.make
-           ~now:(fun () -> float_of_int (Check_platform.ops ctx))
-           ~track:(fun () -> Engine.running_tag engine)
-           ())
-    else None
-  in
-  let (module P) = Check_platform.make ctx in
+let run_schedule ?max_steps ?trace ?metrics sc ~pick =
+  Explore.run ?max_steps ?trace ?metrics ~pick @@ fun ctx (module P) sink ->
   let module ED = Psmr_early.Dispatch.Make (P) (Cmd) in
   let n = Array.length sc.footprints in
-  let violations = ref [] in
-  let viol fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
+  let viol fmt = Printf.ksprintf sink fmt in
   let keys =
     Array.fold_left
       (fun acc fp -> List.fold_left (fun acc (k, _) -> max acc (k + 1)) acc fp)
@@ -287,34 +272,12 @@ let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
       ED.close d;
       inv ~strict:false ();
       parallelizer_done := true);
-  let decisions = ref 0 in
-  let choices = ref [] in
-  let last = ref 0 in
-  let truncated = ref false in
-  Engine.set_picker engine
-    (Some
-       (fun tags ->
-         incr decisions;
-         if !decisions > max_steps then raise Cos_check.Truncated;
-         let idx = pick ~last:!last tags in
-         let idx = if idx < 0 || idx >= Array.length tags then 0 else idx in
-         last := tags.(idx);
-         choices := tags.(idx) :: !choices;
-         idx));
-  Option.iter Psmr_obs.Metrics.enable registry;
-  Fun.protect
-    ~finally:(fun () ->
-      if Option.is_some registry then Psmr_obs.Metrics.disable ())
-    (fun () ->
-      try Engine.run engine with
-      | Cos_check.Truncated -> truncated := true
-      | e -> viol "uncaught exception: %s" (Printexc.to_string e));
-  (* Ghost read: the run is over, but [running_tag] still names the last
-     process, so a bare platform read would try to yield outside any
-     fiber. *)
-  let executed = Check_platform.with_ghost ctx (fun () -> ED.executed d) in
-  let completed = (not !truncated) && !parallelizer_done && executed = n in
-  if not !truncated then begin
+  fun () ->
+    (* Ghost read: the run is over, but [running_tag] still names the last
+       process, so a bare platform read would try to yield outside any
+       fiber. *)
+    let executed = Check_platform.with_ghost ctx (fun () -> ED.executed d) in
+    let completed = !parallelizer_done && executed = n in
     (* Deadlock diagnostics: the engine halted with work left.  A
        partially-arrived rendezvous is the class-barrier deadlock the
        crash-stop scenarios must surface. *)
@@ -392,22 +355,5 @@ let run_schedule ?(max_steps = 50_000) ?(trace = false) ?(metrics = false) sc
                    (started@%d)"
                   a ended_at.(a) b started_at.(b)
           done
-      done
-  end;
-  List.iter
-    (fun r -> viol "%s" (Format.asprintf "%a" Check_platform.pp_race r))
-    (Check_platform.races ctx);
-  let choices = Array.of_list (List.rev !choices) in
-  {
-    Cos_check.completed;
-    violations = List.rev !violations;
-    decisions = !decisions;
-    truncated = !truncated;
-    choices;
-    trace_hash = Cos_check.hash_choices choices;
-    oplog = Check_platform.oplog ctx;
-    metrics =
-      (match registry with
-      | Some m -> Psmr_obs.Metrics.assoc m
-      | None -> []);
-  }
+      done;
+    completed

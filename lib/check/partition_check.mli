@@ -8,9 +8,9 @@
     determinism property partitioned SMR rests on), exactly-once emission,
     drained merges (no rendezvous deadlock), and tie-break count
     agreement.  The [no_barrier] scenario plants the rendezvous-skipping
-    bug the projection oracle must catch.  Outcomes are
-    {!Cos_check.outcome}s, so the [Explore] drivers work unchanged through
-    their [_with] variants. *)
+    bug the projection oracle must catch.  The scenario is an
+    {!Explore.run} body; [run_schedule sc] plugs into the [Explore]
+    drivers as their [~run]. *)
 
 type scenario = {
   partitions : int;
@@ -47,7 +47,6 @@ val run_schedule :
   ?metrics:bool ->
   scenario ->
   pick:(last:int -> int array -> int) ->
-  Cos_check.outcome
-(** Run the scenario once on a fresh engine + check platform under [pick]
-    and apply all oracles; see {!Cos_check.run_schedule} for the shared
-    outcome and step-bound semantics. *)
+  Explore.outcome
+(** Run the scenario once under [pick] through {!Explore.run} (which
+    documents [max_steps], [trace] and [metrics]) and apply all oracles. *)

@@ -45,19 +45,22 @@ let test_vclock () =
 
 let test_replay_deterministic () =
   let s = sc ~target:(Cos_check.Impl Psmr_cos.Registry.Lockfree) () in
-  let a = Explore.replay s ~seed:987654321L in
-  let b = Explore.replay s ~seed:987654321L in
+  let replay seed = Explore.replay ~run:(Cos_check.run_schedule s) ~seed in
+  let a = replay 987654321L and b = replay 987654321L in
   Alcotest.(check bool) "same trace hash" true (a.trace_hash = b.trace_hash);
   Alcotest.(check int) "same decision count" a.decisions b.decisions;
   Alcotest.(check (list string)) "same violations" a.violations b.violations;
   Alcotest.(check bool) "completed" true a.completed;
-  let c = Explore.replay s ~seed:987654322L in
+  let c = replay 987654322L in
   Alcotest.(check bool) "different seed, different schedule" true
     (a.trace_hash <> c.trace_hash)
 
 let test_batch_deterministic () =
   let s = sc ~target:(Cos_check.Impl Psmr_cos.Registry.Fine) () in
-  let run () = Explore.random_walk s ~seed:5L ~schedules:50 in
+  let run () =
+    Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:5L ~schedules:50
+      ()
+  in
   let a = run () and b = run () in
   Alcotest.(check int) "same schedules" a.Explore.schedules b.Explore.schedules;
   Alcotest.(check int) "same distinct" a.Explore.distinct b.Explore.distinct;
@@ -68,7 +71,10 @@ let test_batch_deterministic () =
 
 let test_distinct_schedules () =
   let s = sc ~target:(Cos_check.Impl Psmr_cos.Registry.Lockfree) ~workers:3 () in
-  let r = Explore.random_walk s ~seed:42L ~schedules:2000 in
+  let r =
+    Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:42L
+      ~schedules:2000 ()
+  in
   Alcotest.(check int) "all schedules distinct" 2000 r.Explore.distinct;
   Alcotest.(check int) "none truncated" 0 r.Explore.truncated
 
@@ -78,7 +84,10 @@ let clean_random impl () =
   List.iter
     (fun drain ->
       let s = sc ~target:(Cos_check.Impl impl) ~workers:3 ~commands:8 ~drain () in
-      let r = Explore.random_walk s ~seed:11L ~schedules:800 in
+      let r =
+        Explore.random_walk ~run:(Cos_check.run_schedule s) ~seed:11L
+          ~schedules:800 ()
+      in
       Alcotest.(check int)
         (Printf.sprintf "no failures (drain=%b)" drain)
         0
@@ -100,7 +109,10 @@ let exhaustive_dfs impl () =
   let s =
     sc ~target:(Cos_check.Impl impl) ~workers:2 ~commands:2 ~write_pct:100.0 ()
   in
-  let r = Explore.dfs ~preemption_bound:1 ~max_schedules:100_000 s in
+  let r =
+    Explore.dfs ~preemption_bound:1 ~max_schedules:100_000
+      ~run:(Cos_check.run_schedule s) ()
+  in
   Alcotest.(check bool) "bounded tree exhausted" true r.Explore.exhausted;
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
   Alcotest.(check bool) "explored more than one schedule" true
@@ -129,8 +141,9 @@ let test_promotion_race_caught () =
   let s =
     sc ~target:wtg_start_target ~workers:3 ~commands:6 ~write_pct:100.0 ()
   in
+  let run = Cos_check.run_schedule s in
   let r =
-    Explore.random_walk ~stop_on_first:true s ~seed:9L ~schedules:5000
+    Explore.random_walk ~stop_on_first:true ~run ~seed:9L ~schedules:5000 ()
   in
   match r.Explore.failures with
   | [] -> Alcotest.fail "planted promotion race not caught within 5000 schedules"
@@ -143,20 +156,21 @@ let test_promotion_race_caught () =
       match f.Explore.seed with
       | None -> Alcotest.fail "random-walk failure carries no seed"
       | Some seed ->
-          let o = Explore.replay s ~seed in
+          let o = Explore.replay ~run ~seed in
           Alcotest.(check (list string))
             "replay reproduces the exact violations" f.Explore.violations
-            o.Cos_check.violations;
+            o.Explore.violations;
           Alcotest.(check bool) "replay follows the recorded schedule" true
-            (o.Cos_check.choices = f.Explore.choices))
+            (o.Explore.choices = f.Explore.choices))
 
 let test_lost_signal_caught () =
   let s =
     sc ~target:lost_signal_target ~workers:3 ~commands:8 ~write_pct:60.0 ()
   in
   let r =
-    Explore.random_walk ~stop_on_first:true ~max_steps:3000 s ~seed:7L
-      ~schedules:500
+    Explore.random_walk ~stop_on_first:true
+      ~run:(Cos_check.run_schedule ~max_steps:3000 s)
+      ~seed:7L ~schedules:500 ()
   in
   match r.Explore.failures with
   | [] -> Alcotest.fail "planted lost signal not caught within 500 schedules"
@@ -204,14 +218,14 @@ let test_no_sentinel_race_caught () =
   Alcotest.(check bool) "conflict-order oracle fired" true
     (List.exists
        (fun v -> String.length v >= 14 && String.sub v 0 14 = "conflict order")
-       o.Cos_check.violations)
+       o.Explore.violations)
 
 let test_self_sentinel_fix_holds impl () =
   for seed = 1 to 2000 do
     let o = sticky_run (Cos_check.Impl impl) (Int64.of_int seed) in
-    if o.Cos_check.violations <> [] then
+    if o.Explore.violations <> [] then
       Alcotest.failf "sticky seed %d: %s" seed
-        (String.concat "; " o.Cos_check.violations)
+        (String.concat "; " o.Explore.violations)
   done
 
 (* --- early-scheduling scenarios (lib/early under the same checker) --- *)
@@ -226,17 +240,12 @@ let esc ?(workers = 3) ?classes ?(commands = 8) ?(keys = 3) ?(write_pct = 50.0)
     ?crashes ?respawn ~workload_seed ()
 
 let early_walk ?stop_on_first s ~seed ~schedules =
-  Explore.random_walk_with ?stop_on_first
-    ~run:(fun ~pick -> Early_check.run_schedule s ~pick)
-    ~seed ~schedules ()
+  Explore.random_walk ?stop_on_first ~run:(Early_check.run_schedule s) ~seed
+    ~schedules ()
 
 let test_early_replay_deterministic () =
   let s = esc ~optimistic:true ~mis_pct:40.0 () in
-  let replay seed =
-    Explore.replay_with
-      ~run:(fun ~pick -> Early_check.run_schedule s ~pick)
-      ~seed ()
-  in
+  let replay seed = Explore.replay ~run:(Early_check.run_schedule s) ~seed in
   let a = replay 24680L and b = replay 24680L in
   Alcotest.(check bool) "same trace hash" true (a.trace_hash = b.trace_hash);
   Alcotest.(check int) "same decision count" a.decisions b.decisions;
@@ -261,14 +270,17 @@ let early_clean_random optimistic () =
 let test_early_dfs () =
   let s = esc ~workers:2 ~commands:2 ~write_pct:100.0 ~cross_pct:100.0 () in
   let r =
-    Explore.dfs_with ~preemption_bound:1 ~max_schedules:100_000
-      ~run:(fun ~pick -> Early_check.run_schedule s ~pick)
-      ()
+    Explore.dfs ~preemption_bound:1 ~max_schedules:100_000
+      ~run:(Early_check.run_schedule s) ()
   in
   Alcotest.(check bool) "bounded tree exhausted" true r.Explore.exhausted;
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
   Alcotest.(check bool) "explored more than one schedule" true
-    (r.Explore.distinct > 50)
+    (r.Explore.distinct > 50);
+  (* Pinned like the COS trees above: every dispatcher atomic is a
+     decision point, so these counts move with any reordering of them. *)
+  Alcotest.(check int) "distinct schedules (pinned)" 13212 r.Explore.distinct;
+  Alcotest.(check int) "decision points (pinned)" 674520 r.Explore.decisions
 
 (* Crash-stop inside a rendezvous: worker 1 dies at its first token fetch
    with no respawn.  On an all-cross workload over 2 single-worker classes
@@ -293,14 +305,10 @@ let test_early_barrier_deadlock_caught () =
       match f.Explore.seed with
       | None -> Alcotest.fail "random-walk failure carries no seed"
       | Some seed ->
-          let o =
-            Explore.replay_with
-              ~run:(fun ~pick -> Early_check.run_schedule s ~pick)
-              ~seed ()
-          in
+          let o = Explore.replay ~run:(Early_check.run_schedule s) ~seed in
           Alcotest.(check (list string))
             "replay reproduces the exact violations" f.Explore.violations
-            o.Cos_check.violations)
+            o.Explore.violations)
 
 let test_early_crash_respawn_clean () =
   let s = crash_sc ~respawn:true in
@@ -382,6 +390,55 @@ let test_early_spec_crash_clean () =
   Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
   Alcotest.(check int) "all complete" 0 r.Explore.incomplete
 
+(* --- partitioned-merge scenarios --- *)
+
+module Partition_check = Check.Partition_check
+
+(* The @check-part DFS: 2 partitions, 2 replicas, 4 all-cross commands.
+   The merges have no shared-memory operations of their own — a yield
+   before every push is the only decision point — so the tree size pins
+   how many arrival interleavings the explorer enumerates. *)
+let test_part_dfs () =
+  let s =
+    Partition_check.scenario ~replicas:2 ~commands:4 ~cross_pct:100.0
+      ~workload_seed:1L ()
+  in
+  let r =
+    Explore.dfs ~preemption_bound:1 ~max_schedules:100_000
+      ~run:(Partition_check.run_schedule s) ()
+  in
+  Alcotest.(check bool) "bounded tree exhausted" true r.Explore.exhausted;
+  Alcotest.(check int) "no failures" 0 (List.length r.Explore.failures);
+  Alcotest.(check int) "distinct schedules (pinned)" 600 r.Explore.distinct;
+  Alcotest.(check int) "decision points (pinned)" 9720 r.Explore.decisions
+
+(* The planted rendezvous-skipping merge: replicas diverge on a shared
+   partition's projection, and the reported seed replays to the same
+   divergence.  Same scenario as the @check-part --expect-violation row. *)
+let test_part_nobarrier_caught () =
+  let s =
+    Partition_check.scenario ~replicas:3 ~commands:10 ~cross_pct:60.0
+      ~no_barrier:true ~workload_seed:1L ()
+  in
+  let run = Partition_check.run_schedule s in
+  let r =
+    Explore.random_walk ~stop_on_first:true ~run ~seed:11L ~schedules:2000 ()
+  in
+  match r.Explore.failures with
+  | [] -> Alcotest.fail "rendezvous-skipping merge not caught"
+  | f :: _ -> (
+      Alcotest.(check bool) "divergence oracle fired" true
+        (List.exists
+           (fun v -> String.length v >= 10 && String.sub v 0 10 = "divergence")
+           f.Explore.violations);
+      match f.Explore.seed with
+      | None -> Alcotest.fail "random-walk failure carries no seed"
+      | Some seed ->
+          let o = Explore.replay ~run ~seed in
+          Alcotest.(check (list string))
+            "replay reproduces the exact violations" f.Explore.violations
+            o.Explore.violations)
+
 let per_impl name f =
   List.map
     (fun (impl, label) ->
@@ -437,5 +494,12 @@ let () =
             `Quick test_early_noundo_caught;
           Alcotest.test_case "crashes inside the repair window drain clean"
             `Quick test_early_spec_crash_clean;
+        ] );
+      ( "part",
+        [
+          Alcotest.test_case "dfs bound-1 tree exhausted, clean" `Quick
+            test_part_dfs;
+          Alcotest.test_case "skipped rendezvous caught + replay" `Quick
+            test_part_nobarrier_caught;
         ] );
     ]
