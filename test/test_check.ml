@@ -95,13 +95,17 @@ let clean_random impl () =
       Alcotest.(check int) "all complete" 0 r.Explore.incomplete)
     [ true; false ]
 
-(* Every simulated atomic is a decision point, so the exact size of the
-   bounded tree pins the sequence of shared-memory operations of the two
-   lock-free COSes: a refactor of their common graph that reorders,
-   adds or drops one atomic moves these counts. *)
+(* Every simulated lock, semaphore and atomic operation is a decision
+   point, so the exact size of the bounded tree pins each COS's sequence
+   of shared-memory operations: a refactor of a graph or of the shared
+   blocking layer that reorders, adds or drops one operation moves these
+   counts. *)
 let dfs_pins =
   [
+    (Psmr_cos.Registry.Coarse, (5092, 174916));
+    (Psmr_cos.Registry.Fine, (3620, 177968));
     (Psmr_cos.Registry.Lockfree, (4228, 245714));
+    (Psmr_cos.Registry.Striped 4, (3612, 177428));
     (Psmr_cos.Registry.Indexed, (3984, 222502));
   ]
 
