@@ -1,8 +1,9 @@
 (** Deliberately broken COS variants, used to validate the checker itself:
     a model checker that has never caught a planted bug proves nothing.
-    Each variant is a copy of the lock-free algorithm with one realistic
-    mutation — both are bugs the correct implementation documents having to
-    avoid (see the header of [Psmr_cos.Lockfree]).
+    Each variant is a copy of the lock-free graph with one realistic
+    mutation — bugs the correct implementation documents having to avoid
+    (see the header of [Psmr_cos.Lf_graph]) — over the real blocking layer,
+    [Psmr_cos.Blocking], so only the graph is planted.
 
     - {!Wtg_start}: nodes enter the list in the [Wtg] state instead of an
       explicit inserting state, exactly as in the paper's pseudocode.  A
@@ -10,9 +11,10 @@
       whose dependency set is still being built, releasing a command while
       an older conflicting command is still in the structure — caught by
       the conflict-order oracle.
-    - {!Lost_signal}: [remove] promotes freed dependents but forgets to
-      release the ready semaphore for them, so the promoted commands are
-      ready with no token to claim them — caught as a deadlock.
+    - {!Lost_signal}: the graph's remove promotes freed dependents but
+      reports none of them to the blocking layer, so no [ready] token is
+      released for them and the promoted commands are ready with no token
+      to claim them — caught as a deadlock.
     - {!No_sentinel}: no mutation at all — the functor body itself {e is}
       the pre-hardening lock-free algorithm, without the self-sentinel
       seeded into [dep_on] during insert (see the long comment on
@@ -33,6 +35,8 @@ end
 
 module Make_broken (Cfg : CONFIG) (P : Platform_intf.S) (C : Cos_intf.COMMAND) =
 struct
+  module B = Blocking.Make (P)
+
   type cmd = C.t
 
   type status = Ins | Wtg | Rdy | Exe | Rmd
@@ -47,28 +51,13 @@ struct
 
   type handle = node
 
-  type t = {
-    first : node option P.Atomic.t;
-    space : P.Semaphore.t;
-    ready : P.Semaphore.t;
-    size : int P.Atomic.t;
-    closed : bool P.Atomic.t;
-    close_tokens : int;
-  }
+  (* The graph is the list head. *)
+  type t = node option P.Atomic.t B.t
 
   let name = Cfg.name
-
-  let create ?(max_size = Cos_intf.default_max_size) ?(worker_bound = 1024) ()
-      =
-    if max_size <= 0 then invalid_arg "Broken.create: max_size must be positive";
-    {
-      first = P.Atomic.make None;
-      space = P.Semaphore.create max_size;
-      ready = P.Semaphore.create 0;
-      size = P.Atomic.make 0;
-      closed = P.Atomic.make false;
-      close_tokens = max_size + worker_bound;
-    }
+  let create =
+    B.create ~who:"Broken" ~graph:(fun _ () : node option P.Atomic.t ->
+        P.Atomic.make None)
 
   let command (n : handle) = n.cmd
 
@@ -83,7 +72,7 @@ struct
     in
     if all_removed && P.Atomic.compare_and_set n.st Wtg Rdy then 1 else 0
 
-  let helped_remove t (dead : node) (prev_live : node option) =
+  let helped_remove (t : t) (dead : node) (prev_live : node option) =
     List.iter
       (fun ni ->
         P.work Visit;
@@ -92,10 +81,10 @@ struct
       (P.Atomic.get dead.dep_me);
     let successor = P.Atomic.get dead.nxt in
     match prev_live with
-    | None -> P.Atomic.set t.first successor
+    | None -> P.Atomic.set t.graph successor
     | Some p -> P.Atomic.set p.nxt successor
 
-  let lf_insert t c =
+  let lf_insert (t : t) c ~delivered_at:_ =
     P.work Alloc;
     let nn =
       {
@@ -127,15 +116,15 @@ struct
             walk (Some n') nxt
           end
     in
-    let last_live = walk None (P.Atomic.get t.first) in
+    let last_live = walk None (P.Atomic.get t.graph) in
     (match last_live with
-    | None -> P.Atomic.set t.first (Some nn)
+    | None -> P.Atomic.set t.graph (Some nn)
     | Some p -> P.Atomic.set p.nxt (Some nn));
     ignore (P.Atomic.fetch_and_add t.size 1 : int);
     if not Cfg.wtg_start then P.Atomic.set nn.st Wtg;
     test_ready nn
 
-  let lf_get t =
+  let lf_get (t : t) _visits =
     let rec walk = function
       | None -> None
       | Some n ->
@@ -143,58 +132,31 @@ struct
           if P.Atomic.compare_and_set n.st Rdy Exe then Some n
           else walk (P.Atomic.get n.nxt)
     in
-    walk (P.Atomic.get t.first)
+    walk (P.Atomic.get t.graph)
 
-  let lf_remove (n : node) =
+  let lf_remove (_ : t) (n : node) =
     P.Atomic.set n.st Rmd;
-    List.fold_left
-      (fun acc ni -> acc + test_ready ni)
-      0 (P.Atomic.get n.dep_me)
-
-  let insert t c =
-    P.Semaphore.acquire t.space;
-    if not (P.Atomic.get t.closed) then begin
-      let promoted = lf_insert t c in
-      if promoted > 0 then P.Semaphore.release ~n:promoted t.ready
-    end
-
-  let insert_batch t cs = Array.iter (insert t) cs
-
-  let get t =
-    P.Semaphore.acquire t.ready;
-    let rec attempt () =
-      match lf_get t with
-      | Some n -> Some n
-      | None ->
-          if P.Atomic.get t.closed && P.Atomic.get t.size = 0 then None
-          else begin
-            P.yield ();
-            attempt ()
-          end
+    let promoted =
+      List.fold_left
+        (fun acc ni -> acc + test_ready ni)
+        0 (P.Atomic.get n.dep_me)
     in
-    attempt ()
-
-  let remove t n =
-    let promoted = lf_remove n in
-    ignore (P.Atomic.fetch_and_add t.size (-1) : int);
     (* THE BUG (Lost_signal): the freed dependents are Rdy but nobody is
        told — their tokens are never released. *)
-    if (not Cfg.lost_signal) && promoted > 0 then
-      P.Semaphore.release ~n:promoted t.ready;
-    P.Semaphore.release t.space
+    ((if Cfg.lost_signal then 0 else promoted), 0)
 
-  let requeue t n =
-    if not (P.Atomic.compare_and_set n.st Exe Rdy) then
-      invalid_arg "Broken.requeue: command not reserved";
-    P.Semaphore.release t.ready
+  let insert = B.insert lf_insert
+  let insert_batch = B.insert_batch lf_insert
+  let get = B.get lf_get
+  let remove = B.remove lf_remove
 
-  let close t =
-    if not (P.Atomic.exchange t.closed true) then begin
-      P.Semaphore.release ~n:t.close_tokens t.ready;
-      P.Semaphore.release ~n:t.close_tokens t.space
-    end
+  let requeue =
+    B.requeue (fun (_ : t) n ->
+        if not (P.Atomic.compare_and_set n.st Exe Rdy) then
+          invalid_arg "Broken.requeue: command not reserved")
 
-  let pending t = P.Atomic.get t.size
+  let close = B.close
+  let pending = B.pending
 
   (* No structural self-checks: the planted bugs must be caught by the
      checker's external oracles, not confessed by the data structure. *)

@@ -4,9 +4,9 @@
     its own lock.  Operations traverse with hand-over-hand locking (lock
     coupling): the successor is locked before the current node is released,
     so operations cannot overtake each other while both hold list positions,
-    and all locks are acquired in list order (no deadlock).  Two counting
-    semaphores form the blocking layer: [space] bounds the graph, [ready]
-    counts commands free to execute.
+    and all locks are acquired in list order (no deadlock).  The blocking
+    layer is {!Blocking}'s two counting semaphores; this module is only the
+    graph.
 
     Physical removal differs from the paper's set-based pseudocode in one
     way: the node is unlinked at the moment the removal walk passes it
@@ -20,6 +20,8 @@ open Psmr_platform
 module Probe = Psmr_obs.Probe
 
 module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
+  module B = Blocking.Make (P)
+
   type cmd = C.t
 
   type status = Waiting | Executing | Removed
@@ -36,106 +38,84 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
 
   type handle = node
 
-  type t = {
-    head : node;  (* sentinel: lowest element of Algorithm 3 *)
-    space : P.Semaphore.t;
-    ready : P.Semaphore.t;
-    size : int P.Atomic.t;
-    closed : bool P.Atomic.t;
-    close_tokens : int;
-  }
+  (* The graph is its head sentinel: the lowest element of Algorithm 3. *)
+  type t = node B.t
 
   let name = "fine-grained"
 
-  let create ?(max_size = Cos_intf.default_max_size) ?(worker_bound = 1024) ()
-      =
-    if max_size <= 0 then invalid_arg "Fine.create: max_size must be positive";
-    if worker_bound < 0 then
-      invalid_arg "Fine.create: worker_bound must be non-negative";
-    let head =
-      {
-        cmd = None;
-        mx = P.Mutex.create ();
-        st = Executing;
-        deps_on = [];
-        next = None;
-        delivered_at = 0.0;
-        ready_at = 0.0;
-      }
-    in
-    {
-      head;
-      space = P.Semaphore.create max_size;
-      ready = P.Semaphore.create 0;
-      size = P.Atomic.make 0;
-      closed = P.Atomic.make false;
-      (* Tokens released on [close] to wake every thread that can be
-         blocked on the semaphores: up to [worker_bound] getters, plus the
-         inserter waiting on up to [max_size] space tokens. *)
-      close_tokens = max_size + worker_bound;
-    }
+  let create =
+    B.create ~who:"Fine" ~graph:(fun _ ->
+        let head =
+          {
+            cmd = None;
+            mx = P.Mutex.create ();
+            st = Executing;
+            deps_on = [];
+            next = None;
+            delivered_at = 0.0;
+            ready_at = 0.0;
+          }
+        in
+        fun () -> head)
 
   let command (n : handle) =
     match n.cmd with
     | Some c -> c
     | None -> invalid_arg "Fine.command: sentinel node"
 
-  let insert t c =
-    let delivered_at = Probe.now () in
-    P.Semaphore.acquire t.space;
-    if not (P.Atomic.get t.closed) then begin
-      P.work Alloc;
-      let n =
-        {
-          cmd = Some c;
-          mx = P.Mutex.create ();
-          st = Waiting;
-          deps_on = [];
-          next = None;
-          delivered_at;
-          ready_at = 0.0;
-        }
-      in
-      let visits = ref 0 in
-      P.Mutex.lock n.mx;
-      P.Mutex.lock t.head.mx;
-      (* Walk the whole list, collecting conflicts with older commands. *)
-      let rec walk prev = function
-        | None -> prev (* [prev] is the last node, still locked *)
-        | Some cur ->
-            P.Mutex.lock cur.mx;
-            P.Mutex.unlock prev.mx;
-            Probe.coupling_step ();
-            P.work Visit;
-            incr visits;
-            P.work Conflict_check;
-            (match cur.cmd with
-            | Some older when C.conflict older c -> n.deps_on <- cur :: n.deps_on
-            | Some _ | None -> ());
-            walk cur cur.next
-      in
-      let last = walk t.head t.head.next in
-      last.next <- Some n;
-      ignore (P.Atomic.fetch_and_add t.size 1 : int);
-      let is_ready = n.deps_on = [] in
-      Probe.insert_done ~visits:!visits;
-      if is_ready then begin
-        n.ready_at <- Probe.now ();
-        Probe.ready_latency (n.ready_at -. n.delivered_at)
-      end;
-      P.Mutex.unlock last.mx;
-      P.Mutex.unlock n.mx;
-      if is_ready then P.Semaphore.release t.ready
-    end
+  let fine_insert (t : t) c ~delivered_at =
+    P.work Alloc;
+    let n =
+      {
+        cmd = Some c;
+        mx = P.Mutex.create ();
+        st = Waiting;
+        deps_on = [];
+        next = None;
+        delivered_at;
+        ready_at = 0.0;
+      }
+    in
+    let visits = ref 0 in
+    P.Mutex.lock n.mx;
+    P.Mutex.lock t.graph.mx;
+    (* Walk the whole list, collecting conflicts with older commands. *)
+    let rec walk prev = function
+      | None -> prev (* [prev] is the last node, still locked *)
+      | Some cur ->
+          P.Mutex.lock cur.mx;
+          P.Mutex.unlock prev.mx;
+          Probe.coupling_step ();
+          P.work Visit;
+          incr visits;
+          P.work Conflict_check;
+          (match cur.cmd with
+          | Some older when C.conflict older c -> n.deps_on <- cur :: n.deps_on
+          | Some _ | None -> ());
+          walk cur cur.next
+    in
+    let last = walk t.graph t.graph.next in
+    last.next <- Some n;
+    ignore (P.Atomic.fetch_and_add t.size 1 : int);
+    let is_ready = n.deps_on = [] in
+    Probe.insert_done ~visits:!visits;
+    if is_ready then begin
+      n.ready_at <- Probe.now ();
+      Probe.ready_latency (n.ready_at -. n.delivered_at)
+    end;
+    P.Mutex.unlock last.mx;
+    P.Mutex.unlock n.mx;
+    if is_ready then 1 else 0
 
-  let insert_batch t cs = Array.iter (insert t) cs
+  let insert = B.insert fine_insert
+  let insert_batch = B.insert_batch fine_insert
 
   (* One locked traversal looking for the oldest free waiting node; returns
      it marked [Executing], or [None] if the scan finished without a hit
      (the node backing our semaphore token was freed behind the scan
      position — the caller rescans). *)
-  let scan_for_ready t visits =
-    P.Mutex.lock t.head.mx;
+  let scan_for_ready (t : t) visits =
+    P.Mutex.lock t.graph.mx;
     let rec walk prev = function
       | None ->
           P.Mutex.unlock prev.mx;
@@ -154,33 +134,15 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
           end
           else walk cur cur.next
     in
-    walk t.head t.head.next
+    walk t.graph t.graph.next
 
-  let get t =
-    P.Semaphore.acquire t.ready;
-    let visits = ref 0 in
-    let rec attempt () =
-      match scan_for_ready t visits with
-      | Some n ->
-          Probe.get_done ~visits:!visits;
-          Some n
-      | None ->
-          if P.Atomic.get t.closed && P.Atomic.get t.size = 0 then begin
-            Probe.get_done ~visits:!visits;
-            None
-          end
-          else begin
-            Probe.rescan ();
-            P.yield ();
-            attempt ()
-          end
-    in
-    attempt ()
+  let get = B.get scan_for_ready
 
-  let remove t n =
+  (* Returns the commands freed and the nodes visited. *)
+  let fine_remove (t : t) n =
     (* Phase 1: walk to [n] with lock coupling and unlink it while holding
        its predecessor. *)
-    P.Mutex.lock t.head.mx;
+    P.Mutex.lock t.graph.mx;
     let visits = ref 0 in
     let rec find prev = function
       | None -> invalid_arg "Fine.remove: node not in the graph"
@@ -199,7 +161,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
             find cur cur.next
           end
     in
-    find t.head t.head.next;
+    find t.graph t.graph.next;
     (* Phase 2: continue from [n], stripping edges out of [n]; freed nodes
        are signalled.  [n] stays locked for the whole walk, so no operation
        overtakes the stripping. *)
@@ -225,43 +187,32 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
     strip n n.next;
     n.st <- Removed;
     P.Mutex.unlock n.mx;
-    ignore (P.Atomic.fetch_and_add t.size (-1) : int);
-    Probe.remove_done ~visits:!visits;
-    if !freed > 0 then P.Semaphore.release ~n:!freed t.ready;
-    P.Semaphore.release t.space
+    (!freed, !visits)
+
+  let remove = B.remove fine_remove
 
   (* Demote a reserved node back to waiting (dead-worker recovery).  The
      node's dependency set is empty (it was when promoted; removes only
-     strip edges), so flipping the status suffices — plus one [ready]
-     token to replace the one the dead worker's [get] consumed. *)
-  let requeue t n =
-    P.Mutex.lock n.mx;
-    if n.st <> Executing then begin
-      P.Mutex.unlock n.mx;
-      invalid_arg "Fine.requeue: command not reserved"
-    end
-    else begin
-      n.st <- Waiting;
-      n.ready_at <- Probe.now ();
-      P.Mutex.unlock n.mx;
-      Probe.requeue ();
-      P.Semaphore.release t.ready
-    end
+     strip edges), so flipping the status suffices. *)
+  let requeue =
+    B.requeue (fun (_ : t) n ->
+        P.Mutex.lock n.mx;
+        if n.st <> Executing then begin
+          P.Mutex.unlock n.mx;
+          invalid_arg "Fine.requeue: command not reserved"
+        end;
+        n.st <- Waiting;
+        n.ready_at <- Probe.now ();
+        P.Mutex.unlock n.mx)
 
-  let close t =
-    if not (P.Atomic.exchange t.closed true) then begin
-      Probe.close_tokens (2 * t.close_tokens);
-      P.Semaphore.release ~n:t.close_tokens t.ready;
-      P.Semaphore.release ~n:t.close_tokens t.space
-    end
-
-  let pending t = P.Atomic.get t.size
+  let close = B.close
+  let pending = B.pending
 
   (* Read-only structural check (see {!Cos_intf.S.invariant}): no locks are
      taken, so an in-flight remove may have unlinked a node that still
      appears in some [deps_on] — edge closure is therefore a [strict]-only
      check, valid at quiescent points. *)
-  let invariant ?(strict = false) t =
+  let invariant ?(strict = false) (t : t) =
     let errs = ref [] in
     let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
     let cap = 1_000_000 in
@@ -275,7 +226,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
         | None -> List.rev acc
         | Some n -> collect (n :: acc) n.next (visits + 1)
     in
-    let nodes = collect [] t.head.next 0 in
+    let nodes = collect [] t.graph.next 0 in
     List.iter
       (fun n ->
         if n.cmd = None then err "sentinel node linked into the list body";
@@ -299,7 +250,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
                 err "dependency edge to a node outside the list")
             n.deps_on)
         nodes;
-      if P.Atomic.get t.closed && size = 0 && t.head.next <> None then
+      if P.Atomic.get t.closed && size = 0 && t.graph.next <> None then
         err "closed and drained but list non-empty"
     end;
     List.rev !errs

@@ -87,8 +87,8 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
      pass over the index dropping dead writers/readers and empty entries.
      Runs on the insert thread, so plain reasoning applies to the topology
      and the hashtable. *)
-  let sweep t visits =
-    let x = t.ext in
+  let sweep (t : t) visits =
+    let x = t.graph.ext in
     let seen = P.Atomic.get x.removed in
     x.tail <- help_walk t visits ignore;
     let dead_keys = ref [] in
@@ -106,8 +106,8 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
 
   (* The indexed insert.  Returns the number of ready promotions (0 or 1)
      for the blocking layer to signal, as [Lockfree.lf_insert] does. *)
-  let keyed_insert t c ~delivered_at =
-    let x = t.ext in
+  let keyed_insert (t : t) c ~delivered_at =
+    let x = t.graph.ext in
     let visits = ref 0 in
     if P.Atomic.get x.removed >= x.sweep_every then sweep t visits;
     let nn = fresh_node c ~delivered_at in
@@ -153,16 +153,16 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
     x.tail <- Some nn;
     open_node nn ~visits:!visits
 
-  let insert t c = insert_with keyed_insert t c
+  let insert = B.insert keyed_insert
 
   (* One semaphore round per chunk instead of per command; chunks are capped
      at [max_size] so the multi-token acquisition stays satisfiable. *)
-  let insert_batch t cs =
+  let insert_batch (t : t) cs =
     let delivered_at = Probe.now () in
     let len = Array.length cs in
     let rec chunks off =
       if off < len then begin
-        let n = min t.ext.max_size (len - off) in
+        let n = min t.graph.ext.max_size (len - off) in
         P.Semaphore.acquire ~n t.space;
         if not (P.Atomic.get t.closed) then begin
           let promoted = ref 0 in
@@ -178,10 +178,10 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
 
   (* [Lf_graph.remove] plus the removed-since-sweep count, bumped between
      the size decrement and the semaphore releases. *)
-  let remove t n =
+  let remove (t : t) n =
     let promoted, visits = lf_remove n in
     ignore (P.Atomic.fetch_and_add t.size (-1) : int);
-    ignore (P.Atomic.fetch_and_add t.ext.removed 1 : int);
+    ignore (P.Atomic.fetch_and_add t.graph.ext.removed 1 : int);
     if promoted > 0 then P.Semaphore.release ~n:promoted t.ready;
     P.Semaphore.release t.space;
     Probe.remove_done ~visits
@@ -190,9 +190,9 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
      insert-thread-private, but on the check platform a decision point can
      fall mid-insert: a node may already sit in the index while still [Ins]
      and not yet linked, so linkage checks skip [Ins] nodes. *)
-  let invariant ?strict t =
+  let invariant ?strict (t : t) =
     invariant ?strict t ~extra:(fun ~strict ~err nodes ->
-        if P.Atomic.get t.ext.removed < 0 then
+        if P.Atomic.get t.graph.ext.removed < 0 then
           err "negative removed-since-sweep count";
         if strict && List.length nodes <= 4096 then begin
           (* Index closure: every live, fully inserted node the index can
@@ -208,6 +208,6 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
             (fun _key e ->
               Option.iter (check_indexed "writer") e.writer;
               List.iter (check_indexed "reader") e.readers)
-            t.ext.index
+            t.graph.ext.index
         end)
 end

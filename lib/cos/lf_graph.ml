@@ -1,13 +1,14 @@
-(** The lock-free graph and its blocking layer — the part of the paper's
-    Algorithms 5–7 that [Lockfree] and [Indexed] share.  The two COSes
-    differ only in how the single insert thread finds a new node's
-    dependency edges ([Lockfree.lf_insert] scans, [Indexed] looks keys
-    up); everything the worker threads touch lives here, once.
+(** The lock-free graph — the part of the paper's Algorithms 5–7 that
+    [Lockfree] and [Indexed] share.  The two COSes differ only in how the
+    single insert thread finds a new node's dependency edges
+    ([Lockfree.lf_insert] scans, [Indexed] looks keys up); everything the
+    worker threads touch lives here, once.
 
-    Layering (§6): a {e blocking layer} of two counting semaphores handles
-    the full-graph and no-ready-command conditions; underneath, the graph
-    operations are nonblocking.  A node's lifecycle is the atomic state
-    chain [Wtg -> Rdy -> Exe -> Rmd]:
+    Layering (§6): the {e blocking layer} is {!Blocking}'s two counting
+    semaphores, shared with [Fine] and [Striped], which handle the
+    full-graph and no-ready-command conditions; underneath, the graph
+    operations here are nonblocking.  A node's lifecycle is the atomic
+    state chain [Wtg -> Rdy -> Exe -> Rmd]:
 
     - the insert path (called sequentially by the scheduler) walks the
       list, helping to physically unlink nodes already marked [Rmd]
@@ -49,6 +50,8 @@ open Psmr_platform
 module Probe = Psmr_obs.Probe
 
 module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
+  module B = Blocking.Make (P)
+
   type cmd = C.t
 
   type status = Ins | Wtg | Rdy | Exe | Rmd
@@ -65,39 +68,19 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
 
   type handle = node
 
-  (* ['x] is what an insert path keeps beside the shared graph. *)
-  type 'x graph = {
+  (* ['x] is what an insert path keeps beside the shared list. *)
+  type 'x links = {
     first : node option P.Atomic.t;  (* the list head, [N] in the paper *)
-    space : P.Semaphore.t;
-    ready : P.Semaphore.t;
-    size : int P.Atomic.t;
-    closed : bool P.Atomic.t;
-    close_tokens : int;
-    who : string;  (* the COS's module name, for argument errors *)
     ext : 'x;
   }
 
+  type 'x graph = 'x links B.t
+
   (* [ext max_size] builds the insert path's own state. *)
-  let create ~who ~ext ?(max_size = Cos_intf.default_max_size)
-      ?(worker_bound = 1024) () =
-    if max_size <= 0 then invalid_arg (who ^ ".create: max_size must be positive");
-    if worker_bound < 0 then
-      invalid_arg (who ^ ".create: worker_bound must be non-negative");
-    {
-      first = P.Atomic.make None;
-      space = P.Semaphore.create max_size;
-      ready = P.Semaphore.create 0;
-      size = P.Atomic.make 0;
-      closed = P.Atomic.make false;
-      (* [close] floods both semaphores so that everything blocked — up to
-         [worker_bound] getters on [ready], plus the inserter waiting on up
-         to [max_size] [space] tokens at once — wakes and observes
-         [closed].  A fixed 1024 used to deadlock close for
-         [max_size > 1024]. *)
-      close_tokens = max_size + worker_bound;
-      who;
-      ext = ext max_size;
-    }
+  let create ~who ~ext =
+    B.create ~who ~graph:(fun max_size ->
+        let ext = ext max_size in
+        fun () -> { first = P.Atomic.make None; ext })
 
   let command (n : handle) = n.cmd
 
@@ -124,7 +107,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
      [Rmd], from the list.  [prev_live] is the last preceding node that is
      not removed ([None] when [dead] is first).  Runs only inside the
      sequential insert, so plain reasoning applies to the topology. *)
-  let helped_remove t (dead : node) (prev_live : node option) =
+  let helped_remove (t : _ graph) (dead : node) (prev_live : node option) =
     Probe.helped_removal ();
     List.iter
       (fun ni ->
@@ -134,13 +117,13 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
       (P.Atomic.get dead.dep_me);
     let successor = P.Atomic.get dead.nxt in
     match prev_live with
-    | None -> P.Atomic.set t.first successor
+    | None -> P.Atomic.set t.graph.first successor
     | Some p -> P.Atomic.set p.nxt successor
 
   (* One insert-thread pass over the arrival list: unlink every removed
      node and hand each live one to [on_live].  Returns the last live
      node, where the next node is appended. *)
-  let help_walk t visits on_live =
+  let help_walk (t : _ graph) visits on_live =
     let rec walk prev_live cur =
       match cur with
       | None -> prev_live
@@ -157,7 +140,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
             walk (Some n) nxt
           end
     in
-    walk None (P.Atomic.get t.first)
+    walk None (P.Atomic.get t.graph.first)
 
   (* A new node, not promotable until fully inserted ([Ins]).
 
@@ -186,9 +169,9 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
     nn
 
   (* Link [nn] after [last] (at the head when [None]) and count it. *)
-  let append t last nn =
+  let append (t : _ graph) last nn =
     (match last with
-    | None -> P.Atomic.set t.first (Some nn) (* linearization point: insert *)
+    | None -> P.Atomic.set t.graph.first (Some nn) (* linearization point: insert *)
     | Some p -> P.Atomic.set p.nxt (Some nn));
     ignore (P.Atomic.fetch_and_add t.size 1 : int)
 
@@ -201,7 +184,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
     test_ready nn
 
   (* Algorithm 7, lfGet: one scan for a ready node. *)
-  let lf_get t visits =
+  let lf_get (t : _ graph) visits =
     let rec walk = function
       | None -> None
       | Some n ->
@@ -210,7 +193,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
           if P.Atomic.compare_and_set n.st Rdy Exe then Some n
           else walk (P.Atomic.get n.nxt)
     in
-    walk (P.Atomic.get t.first)
+    walk (P.Atomic.get t.graph.first)
 
   (* Algorithm 7, lfRemove: logical removal plus promotion of freed
      dependents; physical unlinking is left to future inserts.  Returns the
@@ -227,48 +210,20 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
     in
     (promoted, !visits)
 
-  (* Blocking layer (Algorithm 5).  [node_insert] is the insert path's
-     graph operation; it returns the number of promotions to signal. *)
-
-  let insert_with node_insert t c =
-    let delivered_at = Probe.now () in
-    P.Semaphore.acquire t.space;
-    if not (P.Atomic.get t.closed) then begin
-      let promoted = node_insert t c ~delivered_at in
-      if promoted > 0 then P.Semaphore.release ~n:promoted t.ready
-    end
+  (* Algorithm 5 over the blocking layer.  The insert paths call
+     [B.insert] with their own graph insert. *)
 
   let get t =
-    P.Semaphore.acquire t.ready;
-    let visits = ref 0 in
-    let rec attempt () =
-      match lf_get t visits with
-      | Some n ->
-          Probe.dispatch_latency (Probe.now () -. n.ready_at);
-          Probe.get_done ~visits:!visits;
-          Some n
-      | None ->
-          if P.Atomic.get t.closed && P.Atomic.get t.size = 0 then begin
-            Probe.get_done ~visits:!visits;
-            None
-          end
-          else begin
-            (* Our token's node was promoted behind the scan position and
-               taken over by a faster worker; its token is still in flight
-               for us.  Rescan. *)
-            Probe.rescan ();
-            P.yield ();
-            attempt ()
-          end
-    in
-    attempt ()
+    B.get
+      (fun t visits ->
+        match lf_get t visits with
+        | Some n as reserved ->
+            Probe.dispatch_latency (Probe.now () -. n.ready_at);
+            reserved
+        | None -> None)
+      t
 
-  let remove t n =
-    let promoted, visits = lf_remove n in
-    ignore (P.Atomic.fetch_and_add t.size (-1) : int);
-    if promoted > 0 then P.Semaphore.release ~n:promoted t.ready;
-    P.Semaphore.release t.space;
-    Probe.remove_done ~visits
+  let remove t n = B.remove (fun _ n -> lf_remove n) t n
 
   (* Demote a reserved node back to [Rdy] (dead-worker recovery).  The
      node's recorded dependencies are all [Rmd] — they were when [lf_get]'s
@@ -278,20 +233,15 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
      promoted-with-live-dependency invariant survives it because the
      demoted node's dependency set is unchanged. *)
   let requeue t n =
-    if not (P.Atomic.compare_and_set n.st Exe Rdy) then
-      invalid_arg (t.who ^ ".requeue: command not reserved");
-    n.ready_at <- Probe.now ();
-    Probe.requeue ();
-    P.Semaphore.release t.ready
+    B.requeue
+      (fun (t : _ graph) n ->
+        if not (P.Atomic.compare_and_set n.st Exe Rdy) then
+          invalid_arg (t.who ^ ".requeue: command not reserved");
+        n.ready_at <- Probe.now ())
+      t n
 
-  let close t =
-    if not (P.Atomic.exchange t.closed true) then begin
-      Probe.close_tokens (2 * t.close_tokens);
-      P.Semaphore.release ~n:t.close_tokens t.ready;
-      P.Semaphore.release ~n:t.close_tokens t.space
-    end
-
-  let pending t = P.Atomic.get t.size
+  let close = B.close
+  let pending = B.pending
 
   let show = function
     | Ins -> "Ins"
@@ -318,7 +268,8 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
 
      [extra ~strict ~err nodes] adds the insert path's own checks over the
      linked [nodes]. *)
-  let invariant ?(strict = false) ?(extra = fun ~strict:_ ~err:_ _ -> ()) t =
+  let invariant ?(strict = false) ?(extra = fun ~strict:_ ~err:_ _ -> ())
+      (t : _ graph) =
     let errs = ref [] in
     let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
     let cap = 1_000_000 in
@@ -332,7 +283,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
         | None -> List.rev acc
         | Some n -> collect (n :: acc) (P.Atomic.get n.nxt) (visits + 1)
     in
-    let nodes = collect [] (P.Atomic.get t.first) 0 in
+    let nodes = collect [] (P.Atomic.get t.graph.first) 0 in
     if List.length nodes <= 4096 then begin
       let rec dup = function
         | [] -> false

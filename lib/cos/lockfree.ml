@@ -20,7 +20,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
 
   (* Algorithm 7, lfInsert.  Returns the number of ready promotions (0 or 1)
      for the blocking layer to signal. *)
-  let lf_insert t c ~delivered_at =
+  let lf_insert (t : t) c ~delivered_at =
     let nn = fresh_node c ~delivered_at in
     let visits = ref 0 in
     let last_live =
@@ -37,7 +37,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
       (List.filter (fun d -> d != nn) (P.Atomic.get nn.dep_on));
     open_node nn ~visits:!visits
 
-  let insert t c = insert_with lf_insert t c
-  let insert_batch t cs = Array.iter (insert t) cs
+  let insert = B.insert lf_insert
+  let insert_batch = B.insert_batch lf_insert
   let invariant ?strict t = invariant ?strict t
 end

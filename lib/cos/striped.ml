@@ -8,8 +8,10 @@
     segment granularity: the next segment is locked before the current one
     is released, so operations cannot overtake each other, and locks are
     always taken in list order (no deadlock).  With [segment_capacity = 1]
-    this degenerates to the fine-grained algorithm; with one huge segment,
-    to the coarse-grained one.
+    this degenerates to the fine-grained algorithm; with one huge segment
+    every operation serializes on one lock, as under the coarse-grained
+    monitor, though blocking still goes through the semaphores of
+    {!Blocking}, which this module shares with {!Fine} and {!Lf_graph}.
 
     Removal marks a node as a tombstone inside its segment; a segment is
     physically unlinked when all its slots are dead, which keeps traversals
@@ -25,6 +27,8 @@ end)
 (P : Platform_intf.S)
 (C : Cos_intf.COMMAND) =
 struct
+  module B = Blocking.Make (P)
+
   type cmd = C.t
 
   type status = Waiting | Executing | Removed
@@ -48,14 +52,8 @@ struct
 
   type handle = node
 
-  type t = {
-    head : segment;  (* sentinel segment, never holds nodes *)
-    space : P.Semaphore.t;
-    ready : P.Semaphore.t;
-    size : int P.Atomic.t;
-    closed : bool P.Atomic.t;
-    close_tokens : int;
-  }
+  (* The graph is its head: a sentinel segment that never holds nodes. *)
+  type t = segment B.t
 
   let capacity =
     if Size.segment_capacity <= 0 then
@@ -73,27 +71,14 @@ struct
       next = None;
     }
 
-  let create ?(max_size = Cos_intf.default_max_size) ?(worker_bound = 1024) ()
-      =
-    if max_size <= 0 then invalid_arg "Striped.create: max_size must be positive";
-    if worker_bound < 0 then
-      invalid_arg "Striped.create: worker_bound must be non-negative";
-    let head = new_segment () in
-    (* The sentinel is permanently "full and dead" so nothing is stored in
-       it but it is never unlinked. *)
-    head.used <- capacity;
-    head.dead <- capacity;
-    {
-      head;
-      space = P.Semaphore.create max_size;
-      ready = P.Semaphore.create 0;
-      size = P.Atomic.make 0;
-      closed = P.Atomic.make false;
-      (* [close] must wake every blocked getter (bounded by
-         [worker_bound]) and the inserter (waiting on up to [max_size]
-         space tokens). *)
-      close_tokens = max_size + worker_bound;
-    }
+  let create =
+    B.create ~who:"Striped" ~graph:(fun _ ->
+        let head = new_segment () in
+        (* The sentinel is permanently "full and dead" so nothing is stored
+           in it but it is never unlinked. *)
+        head.used <- capacity;
+        head.dead <- capacity;
+        fun () -> head)
 
   let command (n : handle) = n.cmd
 
@@ -122,72 +107,69 @@ struct
     in
     reap ()
 
-  let insert t c =
-    let delivered_at = Probe.now () in
-    P.Semaphore.acquire t.space;
-    if not (P.Atomic.get t.closed) then begin
-      P.work Alloc;
-      let visits = ref 0 in
-      (* The node's segment is fixed once we reach the tail. *)
-      let rec walk prev deps =
-        reap_after prev;
-        match prev.next with
-        | Some seg ->
-            P.Mutex.lock seg.mx;
-            P.Mutex.unlock prev.mx;
-            Probe.monitor_section ();
-            let deps = ref deps in
-            iter_live seg visits (fun older ->
-                P.work Conflict_check;
-                if C.conflict older.cmd c then deps := older :: !deps);
-            walk seg !deps
-        | None ->
-            (* [prev] is the last segment, still locked. *)
-            let seg =
-              if prev != t.head && prev.used < capacity then prev
-              else begin
-                let s = new_segment () in
-                prev.next <- Some s;
-                P.Mutex.lock s.mx;
-                P.Mutex.unlock prev.mx;
-                s
-              end
-            in
-            let n =
-              {
-                cmd = c;
-                st = Waiting;
-                deps_on = deps;
-                segment = seg;
-                delivered_at;
-                ready_at = 0.0;
-              }
-            in
-            seg.slots.(seg.used) <- Some n;
-            seg.used <- seg.used + 1;
-            let is_ready = n.deps_on = [] in
-            Probe.insert_done ~visits:!visits;
-            if is_ready then begin
-              n.ready_at <- Probe.now ();
-              Probe.ready_latency (n.ready_at -. n.delivered_at)
-            end;
-            (* Count the node before it becomes visible (the unlock): a
-               remover that frees it through edge stripping may run its
-               whole get/remove cycle before this insert resumes, and the
-               decrement must never land before the increment. *)
-            ignore (P.Atomic.fetch_and_add t.size 1 : int);
-            P.Mutex.unlock seg.mx;
-            if is_ready then P.Semaphore.release t.ready
-      in
-      P.Mutex.lock t.head.mx;
-      walk t.head []
-    end
+  let striped_insert (t : t) c ~delivered_at =
+    P.work Alloc;
+    let visits = ref 0 in
+    (* The node's segment is fixed once we reach the tail. *)
+    let rec walk prev deps =
+      reap_after prev;
+      match prev.next with
+      | Some seg ->
+          P.Mutex.lock seg.mx;
+          P.Mutex.unlock prev.mx;
+          Probe.monitor_section ();
+          let deps = ref deps in
+          iter_live seg visits (fun older ->
+              P.work Conflict_check;
+              if C.conflict older.cmd c then deps := older :: !deps);
+          walk seg !deps
+      | None ->
+          (* [prev] is the last segment, still locked. *)
+          let seg =
+            if prev != t.graph && prev.used < capacity then prev
+            else begin
+              let s = new_segment () in
+              prev.next <- Some s;
+              P.Mutex.lock s.mx;
+              P.Mutex.unlock prev.mx;
+              s
+            end
+          in
+          let n =
+            {
+              cmd = c;
+              st = Waiting;
+              deps_on = deps;
+              segment = seg;
+              delivered_at;
+              ready_at = 0.0;
+            }
+          in
+          seg.slots.(seg.used) <- Some n;
+          seg.used <- seg.used + 1;
+          let is_ready = n.deps_on = [] in
+          Probe.insert_done ~visits:!visits;
+          if is_ready then begin
+            n.ready_at <- Probe.now ();
+            Probe.ready_latency (n.ready_at -. n.delivered_at)
+          end;
+          (* Count the node before it becomes visible (the unlock): a
+             remover that frees it through edge stripping may run its
+             whole get/remove cycle before this insert resumes, and the
+             decrement must never land before the increment. *)
+          ignore (P.Atomic.fetch_and_add t.size 1 : int);
+          P.Mutex.unlock seg.mx;
+          if is_ready then 1 else 0
+    in
+    P.Mutex.lock t.graph.mx;
+    walk t.graph []
 
-  let insert_batch t cs = Array.iter (insert t) cs
+  let insert = B.insert striped_insert
+  let insert_batch = B.insert_batch striped_insert
 
   (* Scan for the oldest free waiting node; [None] if the backing node was
      taken behind the scan position (caller rescans). *)
-  let scan_for_ready t visits =
+  let scan_for_ready (t : t) visits =
     let found = ref None in
     let rec walk prev =
       reap_after prev;
@@ -208,32 +190,14 @@ struct
            with Exit -> ());
           if !found = None then walk seg else P.Mutex.unlock seg.mx
     in
-    P.Mutex.lock t.head.mx;
-    walk t.head;
+    P.Mutex.lock t.graph.mx;
+    walk t.graph;
     !found
 
-  let get t =
-    P.Semaphore.acquire t.ready;
-    let visits = ref 0 in
-    let rec attempt () =
-      match scan_for_ready t visits with
-      | Some n ->
-          Probe.get_done ~visits:!visits;
-          Some n
-      | None ->
-          if P.Atomic.get t.closed && P.Atomic.get t.size = 0 then begin
-            Probe.get_done ~visits:!visits;
-            None
-          end
-          else begin
-            Probe.rescan ();
-            P.yield ();
-            attempt ()
-          end
-    in
-    attempt ()
+  let get = B.get scan_for_ready
 
-  let remove t n =
+  (* Returns the commands freed and the nodes visited. *)
+  let striped_remove (t : t) n =
     (* Mark the tombstone inside its own segment, then strip dependency
        edges from every later (and same-segment) node, walking segments
        hand-over-hand from the start — conservative but ordered, hence
@@ -270,47 +234,36 @@ struct
           if marked then strip_in seg;
           walk seg ~marked
     in
-    P.Mutex.lock t.head.mx;
-    walk t.head ~marked:false;
-    ignore (P.Atomic.fetch_and_add t.size (-1) : int);
-    Probe.remove_done ~visits:!visits;
-    if !freed > 0 then P.Semaphore.release ~n:!freed t.ready;
-    P.Semaphore.release t.space
+    P.Mutex.lock t.graph.mx;
+    walk t.graph ~marked:false;
+    (!freed, !visits)
+
+  let remove = B.remove striped_remove
 
   (* Demote a reserved node back to waiting (dead-worker recovery).  One
      segment lock orders the status flip against traversals; a single lock
      acquisition cannot deadlock against the ordered hand-over-hand
-     chains.  One [ready] token replaces the one the dead worker's [get]
-     consumed. *)
-  let requeue t n =
-    P.Mutex.lock n.segment.mx;
-    Probe.monitor_section ();
-    if n.st <> Executing then begin
-      P.Mutex.unlock n.segment.mx;
-      invalid_arg "Striped.requeue: command not reserved"
-    end
-    else begin
-      n.st <- Waiting;
-      n.ready_at <- Probe.now ();
-      P.Mutex.unlock n.segment.mx;
-      Probe.requeue ();
-      P.Semaphore.release t.ready
-    end
+     chains. *)
+  let requeue =
+    B.requeue (fun (_ : t) n ->
+        P.Mutex.lock n.segment.mx;
+        Probe.monitor_section ();
+        if n.st <> Executing then begin
+          P.Mutex.unlock n.segment.mx;
+          invalid_arg "Striped.requeue: command not reserved"
+        end;
+        n.st <- Waiting;
+        n.ready_at <- Probe.now ();
+        P.Mutex.unlock n.segment.mx)
 
-  let close t =
-    if not (P.Atomic.exchange t.closed true) then begin
-      Probe.close_tokens (2 * t.close_tokens);
-      P.Semaphore.release ~n:t.close_tokens t.ready;
-      P.Semaphore.release ~n:t.close_tokens t.space
-    end
-
-  let pending t = P.Atomic.get t.size
+  let close = B.close
+  let pending = B.pending
 
   (* Read-only structural check (see {!Cos_intf.S.invariant}).  Tombstone
      marking and the [dead] counter are updated in one uninterrupted block,
      so slot accounting is checkable at any instant; edge closure is
      [strict]-only (an in-flight remove strips edges segment by segment). *)
-  let invariant ?(strict = false) t =
+  let invariant ?(strict = false) (t : t) =
     let errs = ref [] in
     let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
     let cap = 100_000 in
@@ -324,7 +277,7 @@ struct
         | None -> List.rev acc
         | Some s -> collect (s :: acc) s.next (visits + 1)
     in
-    let segments = collect [] t.head.next 0 in
+    let segments = collect [] t.graph.next 0 in
     List.iter
       (fun s ->
         if s.used < 0 || s.used > capacity then

@@ -71,6 +71,28 @@ let test_invalid_create_args () =
     (Invalid_argument "Coarse.create: max_size must be positive") (fun () ->
       ignore (S.create ~max_size:0 () : S.t))
 
+(* Every COS rejects an empty graph at [create]; the four semaphore COSes
+   share that check, and the worker-bound one, through [Blocking], which
+   reports each under the COS's own module name.  [Coarse] wakes its
+   getters by broadcast and ignores [worker_bound]. *)
+let test_create_rejects impl () =
+  let module S = (val impl_cos impl) in
+  let who =
+    match impl with
+    | Registry.Coarse -> "Coarse"
+    | Registry.Fine -> "Fine"
+    | Registry.Lockfree -> "Lockfree"
+    | Registry.Striped _ -> "Striped"
+    | Registry.Indexed -> "Indexed"
+  in
+  Alcotest.check_raises "zero max_size"
+    (Invalid_argument (who ^ ".create: max_size must be positive")) (fun () ->
+      ignore (S.create ~max_size:0 () : S.t));
+  if impl <> Registry.Coarse then
+    Alcotest.check_raises "negative worker_bound"
+      (Invalid_argument (who ^ ".create: worker_bound must be non-negative"))
+      (fun () -> ignore (S.create ~worker_bound:(-1) () : S.t))
+
 (* --- deterministic single-thread behaviour --- *)
 
 let test_insert_get_remove impl () =
@@ -890,6 +912,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_registry_roundtrip;
           Alcotest.test_case "invalid args" `Quick test_invalid_create_args;
         ] );
+      ("create", per_impl "rejects bad sizes" test_create_rejects);
       ("insert-get-remove", per_impl "basic" test_insert_get_remove);
       ("conflict-order", per_impl "writes serialize" test_writes_serialize);
       ("independence", per_impl "reads independent" test_reads_independent);
