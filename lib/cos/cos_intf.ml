@@ -70,8 +70,9 @@ module type S = sig
   val insert_batch : t -> cmd array -> unit
   (** Insert every command of a delivered batch, in array order.  Same
       single-threaded contract as {!insert}.  Semantically equivalent to
-      [Array.iter (insert t)] (the default); implementations override it to
-      pay one synchronization round per batch instead of per command. *)
+      [Array.iter (insert t)], which is what {!Blocking.Make.insert_batch}
+      does; [Coarse] and [Indexed] override it to pay one synchronization
+      round per batch instead of per command. *)
 
   val get : t -> handle option
   (** Reserve the oldest command that is free of dependencies and not yet

@@ -1,6 +1,7 @@
 (** Fine-grained COS: the paper's Algorithms 3-4.  Per-node locks with
-    hand-over-hand locking (lock coupling) over the delivery-ordered list;
-    counting semaphores bound the graph and count ready commands. *)
+    hand-over-hand locking (lock coupling) over the delivery-ordered list,
+    over the two counting semaphores of {!Blocking}, which bound the graph
+    and count ready commands. *)
 
 open Psmr_platform
 

@@ -4,7 +4,7 @@
     The concurrent side is [Lockfree]'s, shared through {!Lf_graph}: the
     same node states ([Ins -> Wtg -> Rdy -> Exe -> Rmd]), the same
     nonblocking [get]/[remove] over atomics, the same two-semaphore
-    blocking layer.  What changes is the single-threaded insert path.
+    blocking layer ({!Blocking}).  What changes is the single-threaded insert path.
     Where the scan-based insert walks the whole delivery list evaluating
     the conflict relation against every live node — O(n·c) per insert,
     which is what saturates the insert thread in the paper's Fig. 2 — the

@@ -1,5 +1,6 @@
-(** Key-indexed COS: the lock-free graph and blocking layer of
-    {!Lf_graph} (shared with {!Lockfree}) under a different insert — the
+(** Key-indexed COS: the lock-free graph of {!Lf_graph} and the blocking
+    layer of {!Blocking} (shared with {!Lockfree}) under a different
+    insert — the
     O(n·c) scan is replaced by a private key → last-writer/readers hash
     index over the commands' declared footprints, so dependency edges are
     found in O(|footprint|) amortized, independent of graph population.

@@ -1,6 +1,6 @@
 (** Lock-free COS — the paper's Algorithms 5–7: the shared nonblocking
-    graph and semaphore blocking layer of {!Lf_graph} plus the paper's
-    {e scan} insert.
+    graph of {!Lf_graph}, over the semaphore blocking layer of {!Blocking},
+    plus the paper's {e scan} insert.
 
     [lf_insert] (Algorithm 7, called sequentially by the scheduler) walks
     the whole delivery list, helping to physically unlink nodes already

@@ -1,8 +1,8 @@
-(** Lock-free COS: the paper's Algorithms 5-7.  The nonblocking graph and
-    two-semaphore blocking layer of {!Lf_graph} (atomic state transitions
-    [wtg -> rdy -> exe -> rmd], logical removal, helped physical removal)
-    under the paper's scan insert, which evaluates the conflict relation
-    against every live node. *)
+(** Lock-free COS: the paper's Algorithms 5-7.  The nonblocking graph of
+    {!Lf_graph} (atomic state transitions [wtg -> rdy -> exe -> rmd],
+    logical removal, helped physical removal) over the two-semaphore
+    blocking layer of {!Blocking}, under the paper's scan insert, which
+    evaluates the conflict relation against every live node. *)
 
 open Psmr_platform
 
