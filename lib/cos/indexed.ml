@@ -4,11 +4,11 @@
     The concurrent side is [Lockfree]'s, shared through {!Lf_graph}: the
     same node states ([Ins -> Wtg -> Rdy -> Exe -> Rmd]), the same
     nonblocking [get]/[remove] over atomics, the same two-semaphore
-    blocking layer ({!Blocking}).  What changes is the single-threaded insert path.
-    Where the scan-based insert walks the whole delivery list evaluating
-    the conflict relation against every live node — O(n·c) per insert,
-    which is what saturates the insert thread in the paper's Fig. 2 — the
-    indexed insert keeps a private hash index
+    blocking layer ({!Blocking}).  What changes is the single-threaded
+    insert path.  Where the scan-based insert walks the whole delivery
+    list evaluating the conflict relation against every live node —
+    O(n·c) per insert, which is what saturates the insert thread in the
+    paper's Fig. 2 — the indexed insert keeps a private hash index
 
     {v  key -> { last writer; readers since that writer }  v}
 
@@ -179,7 +179,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.KEYED_COMMAND) = struct
   (* [Lf_graph.remove] plus the removed-since-sweep count, bumped between
      the size decrement and the semaphore releases. *)
   let remove (t : t) n =
-    let promoted, visits = lf_remove n in
+    let promoted, visits = lf_remove t n in
     ignore (P.Atomic.fetch_and_add t.size (-1) : int);
     ignore (P.Atomic.fetch_and_add t.graph.ext.removed 1 : int);
     if promoted > 0 then P.Semaphore.release ~n:promoted t.ready;

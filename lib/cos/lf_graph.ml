@@ -171,7 +171,8 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
   (* Link [nn] after [last] (at the head when [None]) and count it. *)
   let append (t : _ graph) last nn =
     (match last with
-    | None -> P.Atomic.set t.graph.first (Some nn) (* linearization point: insert *)
+    | None ->
+        P.Atomic.set t.graph.first (Some nn) (* linearization point: insert *)
     | Some p -> P.Atomic.set p.nxt (Some nn));
     ignore (P.Atomic.fetch_and_add t.size 1 : int)
 
@@ -190,7 +191,10 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
       | Some n ->
           P.work Visit;
           incr visits;
-          if P.Atomic.compare_and_set n.st Rdy Exe then Some n
+          if P.Atomic.compare_and_set n.st Rdy Exe then begin
+            Probe.dispatch_latency (Probe.now () -. n.ready_at);
+            Some n
+          end
           else walk (P.Atomic.get n.nxt)
     in
     walk (P.Atomic.get t.graph.first)
@@ -198,7 +202,7 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
   (* Algorithm 7, lfRemove: logical removal plus promotion of freed
      dependents; physical unlinking is left to future inserts.  Returns the
      promotion count and the number of dependents examined. *)
-  let lf_remove (n : node) =
+  let lf_remove (_ : _ graph) (n : node) =
     P.Atomic.set n.st Rmd;
     let visits = ref 0 in
     let promoted =
@@ -213,17 +217,8 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
   (* Algorithm 5 over the blocking layer.  The insert paths call
      [B.insert] with their own graph insert. *)
 
-  let get t =
-    B.get
-      (fun t visits ->
-        match lf_get t visits with
-        | Some n as reserved ->
-            Probe.dispatch_latency (Probe.now () -. n.ready_at);
-            reserved
-        | None -> None)
-      t
-
-  let remove t n = B.remove (fun _ n -> lf_remove n) t n
+  let get t = B.get lf_get t
+  let remove t n = B.remove lf_remove t n
 
   (* Demote a reserved node back to [Rdy] (dead-worker recovery).  The
      node's recorded dependencies are all [Rmd] — they were when [lf_get]'s
@@ -232,13 +227,12 @@ module Make (P : Platform_intf.S) (C : Cos_intf.COMMAND) = struct
      consumed.  This is the one backward move in the state chain; the
      promoted-with-live-dependency invariant survives it because the
      demoted node's dependency set is unchanged. *)
-  let requeue t n =
-    B.requeue
-      (fun (t : _ graph) n ->
-        if not (P.Atomic.compare_and_set n.st Exe Rdy) then
-          invalid_arg (t.who ^ ".requeue: command not reserved");
-        n.ready_at <- Probe.now ())
-      t n
+  let demote (t : _ graph) n =
+    if not (P.Atomic.compare_and_set n.st Exe Rdy) then
+      invalid_arg (t.who ^ ".requeue: command not reserved");
+    n.ready_at <- Probe.now ()
+
+  let requeue t n = B.requeue demote t n
 
   let close = B.close
   let pending = B.pending
