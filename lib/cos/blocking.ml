@@ -40,8 +40,8 @@ module Make (P : Platform_intf.S) = struct
   }
 
   (* [graph max_size] runs before the semaphores are made and the function
-     it returns after them, so each graph creates its platform objects
-     where it always has: the model checker names objects by creation
+     it returns after them, so a graph fixes where its platform objects
+     fall in the creation order: the model checker names objects by that
      order, and replay traces print those names. *)
   let create ~who ~graph ?(max_size = Cos_intf.default_max_size)
       ?(worker_bound = 1024) () =
